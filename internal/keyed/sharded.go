@@ -28,7 +28,7 @@ func ShardIndex(key string, shards int) int {
 // ShardedServer is the keyed server split across shards: shard i holds
 // the automata of every key with ShardIndex(key, n) == i in a plain,
 // unlocked map. Each shard implements node.Automaton and must be
-// stepped by exactly one goroutine — node.ShardedRunner's per-shard
+// stepped by exactly one goroutine — a node.StepPool's per-shard
 // workers — which is what removes the global mutex keyed.Server takes
 // on every message.
 type ShardedServer struct {
@@ -65,7 +65,8 @@ func NewShardedServer(n int, factory func() node.Automaton) *ShardedServer {
 	return s
 }
 
-// Shards returns the per-shard automata, for node.NewShardedRunner.
+// Shards returns the per-shard automata, for node.NewShardedRunner or
+// tcpnet.ListenSharded.
 func (s *ShardedServer) Shards() []node.Automaton {
 	out := make([]node.Automaton, len(s.shards))
 	for i, sh := range s.shards {
@@ -74,8 +75,8 @@ func (s *ShardedServer) Shards() []node.Automaton {
 	return out
 }
 
-// Route returns the dispatch function pairing this server with
-// node.ShardedRunner: keyed messages go to their key's shard, anything
+// Route returns the dispatch function pairing this server with a
+// node.StepPool: keyed messages go to their key's shard, anything
 // else to shard 0 (whose Step drops it as malformed).
 func (s *ShardedServer) Route() func(wire.Message) int {
 	n := len(s.shards)

@@ -139,7 +139,7 @@ func TestShardedConcurrentMultiKeyTraffic(t *testing.T) {
 	defer net.Close()
 
 	servers := make([]*ShardedServer, cfg.S())
-	runners := make([]*node.ShardedRunner, cfg.S())
+	runners := make([]*node.Runner, cfg.S())
 	for i := 0; i < cfg.S(); i++ {
 		ep, err := net.Endpoint(types.ServerID(i))
 		if err != nil {
@@ -214,7 +214,7 @@ func TestShardedConcurrentMultiKeyTraffic(t *testing.T) {
 }
 
 // TestEndToEndSharded runs a full write/read pair per key through a
-// ShardedServer driven by a node.ShardedRunner over simnet, with the
+// ShardedServer driven by a node.NewShardedRunner over simnet, with the
 // client side demultiplexed — the exact stack kv.Open assembles.
 func TestEndToEndSharded(t *testing.T) {
 	cfg := core.Config{T: 1, B: 0, Fw: 1, NumReaders: 1, RoundTimeout: 20 * time.Millisecond}
@@ -225,7 +225,7 @@ func TestEndToEndSharded(t *testing.T) {
 	}
 	defer net.Close()
 
-	runners := make([]*node.ShardedRunner, cfg.S())
+	runners := make([]*node.Runner, cfg.S())
 	for i := 0; i < cfg.S(); i++ {
 		ep, err := net.Endpoint(types.ServerID(i))
 		if err != nil {

@@ -13,7 +13,7 @@
 // composite 〈seq, writer〉 stamps and the writers' stamp-query round.
 //
 // The engine is sharded and pipelined: every server runs its per-key
-// automata across a pool of shard workers (node.ShardedRunner over
+// automata across a pool of shard workers (node.NewShardedRunner over
 // keyed.ShardedServer), so no global lock serializes independent keys,
 // and client endpoints coalesce concurrent outbound messages into
 // wire.Batch frames. Blocking Put/Get stay the simple interface;
@@ -107,7 +107,7 @@ func WithWriterID(id types.ProcID) Option {
 // RestartServer rebuilds the whole keyed state by replaying the
 // backend instead of trusting what the dead process left in memory.
 // The provider's factory must produce keyed automata (e.g.
-// kv.NewServerAutomaton) so compaction and recovery route wire.Keyed
+// kv.NewStorageAutomaton) so compaction and recovery route wire.Keyed
 // records correctly.
 func WithStorage(p storage.Provider) Option {
 	return func(o *openOptions) { o.store = p }
@@ -151,14 +151,14 @@ type Store struct {
 	contenders int                    // contender identities pre-registered at Open
 	writerID   types.ProcID           // identity this store's writers bind stamps under
 	readerBase int                    // local reader idx speaks as ReaderID(readerBase+idx)
-	runners    []node.Process         // per-server pumps (sharded, or plain after a swap)
+	runners    []*node.Runner         // per-server pumps (sharded, or one shard after a swap)
 	srvs       []*keyed.ShardedServer // per-server keyed state, retained for warm restarts
 
 	store    storage.Provider
 	backends []storage.Backend // per server; nil when not durable
 
-	met       *StoreMetrics        // nil when uninstrumented
-	srvMet    *core.ServerMetrics  // shared by every server automaton
+	met       *StoreMetrics       // nil when uninstrumented
+	srvMet    *core.ServerMetrics // shared by every server automaton
 	durMet    *storage.DurableMetrics
 	runnersMu sync.RWMutex // guards runners[i] replacement vs gauge reads
 
@@ -264,15 +264,12 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 		for i := range st.runners {
 			idx := i
 			st.met.reg.GaugeFunc("lucky_kv_server_queue_depth",
-				"Envelopes queued on a server's shard mailboxes, not yet stepped.",
+				"Envelopes queued on a server's shard workers, not yet stepped.",
 				func() int64 {
 					st.runnersMu.RLock()
 					r := st.runners[idx]
 					st.runnersMu.RUnlock()
-					if q, ok := r.(interface{ QueueLen() int }); ok {
-						return int64(q.QueueLen())
-					}
-					return 0
+					return int64(r.QueueLen())
 				}, metrics.L("server", string(types.ServerID(idx))))
 		}
 	}
@@ -313,15 +310,6 @@ func (s *Store) newCoalescer(ep transport.Endpoint, role string) *transport.Coal
 		c.SetMetrics(transport.NewCoalescerMetrics(s.met.reg, role))
 	}
 	return c
-}
-
-// NewServerAutomaton returns the keyed server automaton a KV server
-// process runs when its driver steps it from a single goroutine (e.g.
-// tcpnet.Listen, which serializes steps per server): one core register
-// per key. Sharded deployments use keyed.NewShardedServer with
-// node.NewShardedRunner instead, which is what Open assembles.
-func NewServerAutomaton() node.Automaton {
-	return keyed.NewServer(func() node.Automaton { return core.NewServer() })
 }
 
 // NewShardedServerAutomaton returns the sharded keyed server a KV
@@ -787,7 +775,7 @@ func (s *Store) RestartServer(i int) error {
 		}
 		s.srvs[i] = srv
 	}
-	return s.restart(i, func(ep transport.Endpoint) node.Process {
+	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
 		return node.NewShardedRunner(ep, s.durableShards(srv, back, i), srv.Route())
 	})
 }
@@ -809,20 +797,20 @@ func (s *Store) RestartServerFresh(i int) error {
 	}
 	srv := s.newServer()
 	s.srvs[i] = srv
-	return s.restart(i, func(ep transport.Endpoint) node.Process {
+	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
 		return node.NewShardedRunner(ep, s.durableShards(srv, back, i), srv.Route())
 	})
 }
 
 // SwapServerAutomaton crash-stops server i and brings it back running
-// the given automaton on a plain (serialized) pump — the hook chaos
+// the given automaton on a one-shard runner — the hook chaos
 // schedules use to turn a server Byzantine mid-run. For KV traffic the
 // automaton should understand wire.Keyed (see fault.Keyed).
 func (s *Store) SwapServerAutomaton(i int, a node.Automaton) error {
 	if _, err := s.serverFor(i); err != nil {
 		return err
 	}
-	return s.restart(i, func(ep transport.Endpoint) node.Process {
+	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
 		return node.NewRunner(ep, a)
 	})
 }
@@ -883,7 +871,7 @@ func (s *Store) serverFor(i int) (*keyed.ShardedServer, error) {
 	return s.srvs[i], nil
 }
 
-func (s *Store) restart(i int, build func(transport.Endpoint) node.Process) error {
+func (s *Store) restart(i int, build func(transport.Endpoint) *node.Runner) error {
 	s.runners[i].Crash() // idempotent; joins the old pump
 	ep, err := s.sim.Endpoint(types.ServerID(i))
 	if err != nil {

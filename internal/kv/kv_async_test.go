@@ -137,7 +137,7 @@ func TestBatchTrafficCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	var runners []*node.ShardedRunner
+	var runners []*node.Runner
 	for i := 0; i < cfg.S(); i++ {
 		ep, err := sim.Endpoint(types.ServerID(i))
 		if err != nil {

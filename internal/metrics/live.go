@@ -15,6 +15,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -170,6 +171,24 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.sum.Add(o.sum.Load())
 }
 
+// NearestRank returns the q-th quantile (0 ≤ q ≤ 1) of an ascending
+// sample by the nearest-rank method: the smallest sample at or above a
+// q share of the distribution. It is the exact counterpart of
+// Histogram.Quantile, and the one percentile rule every latency summary
+// here (Summarize, workload.Summarize) uses. An empty sample yields 0.
+func NearestRank(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[nearestRank(q, int64(len(sorted)))-1]
+}
+
+// nearestRank is the 1-based rank of the q-th quantile among n samples:
+// the smallest r with r ≥ q·n, clamped to [1, n].
+func nearestRank(q float64, n int64) int64 {
+	return min(max(int64(math.Ceil(q*float64(n))), 1), n)
+}
+
 // Quantile estimates the q-th quantile (0 < q ≤ 1) by nearest rank
 // over the bucket counts, linearly interpolated inside the winning
 // bucket. The power-of-two scheme bounds the relative error of any
@@ -188,20 +207,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Nearest rank: the smallest rank r (1-based) with cum(r) ≥ q·total.
-	rank := int64(q * float64(total))
-	if float64(rank) < q*float64(total) {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
+	rank := nearestRank(q, total)
 	var cum int64
 	for i, n := range counts {
 		if n == 0 {

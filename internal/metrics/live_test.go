@@ -43,9 +43,9 @@ func TestPercentileNearestRankSmallN(t *testing.T) {
 		{seq(ms, 5), 0, ms(1)},
 	}
 	for _, c := range cases {
-		got := percentile(c.samples, c.p)
+		got := NearestRank(c.samples, float64(c.p)/100)
 		if got != c.want {
-			t.Errorf("percentile(N=%d, p=%d) = %v, want %v", len(c.samples), c.p, got, c.want)
+			t.Errorf("NearestRank(N=%d, p=%d) = %v, want %v", len(c.samples), c.p, got, c.want)
 		}
 	}
 	if got := Summarize(nil); got != (Summary{}) {

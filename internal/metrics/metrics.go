@@ -37,25 +37,9 @@ func Summarize(samples []time.Duration) Summary {
 		Min:   sorted[0],
 		Max:   sorted[len(sorted)-1],
 		Mean:  total / time.Duration(len(sorted)),
-		P50:   percentile(sorted, 50),
-		P95:   percentile(sorted, 95),
+		P50:   NearestRank(sorted, 0.50),
+		P95:   NearestRank(sorted, 0.95),
 	}
-}
-
-// percentile returns the p-th percentile of a sorted sample using the
-// nearest-rank method.
-func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (p*len(sorted) + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 // RoundDist is a histogram of per-operation round-trip counts.

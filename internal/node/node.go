@@ -1,13 +1,12 @@
-// Package node runs server automata: it pumps messages from an
-// endpoint's inbox into a pure step function and sends the produced
+// Package node runs server automata: StepPool's workers step them, and
+// a Runner pumps an endpoint's inbox into a pool and sends the produced
 // replies. Separating the (deterministic, synchronous) automaton from
 // its (concurrent) driver keeps protocol logic unit-testable and makes
-// crash injection trivial — crashing a server is stopping its pump.
+// crash injection trivial — crashing a server is stopping its pool.
 package node
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
@@ -16,7 +15,8 @@ import (
 
 // Automaton is a deterministic message-driven state machine: one step
 // consumes a message and yields the messages to send. Implementations
-// are not required to be concurrency-safe; the Runner serializes steps.
+// are not required to be concurrency-safe: one StepPool worker steps
+// each automaton.
 type Automaton interface {
 	Step(from types.ProcID, m wire.Message) []transport.Outgoing
 }
@@ -36,11 +36,10 @@ type AppendStepper interface {
 }
 
 // StepInto drives one step through the append-based API when a
-// implements it, falling back to Step and copying its result. Every
-// driver (Runner, ShardedRunner, StepPool, tcpnet's serve loops) steps
-// through this helper, so an automaton only has to implement
-// AppendStepper to put its whole deployment on the zero-allocation
-// path.
+// implements it, falling back to Step and copying its result. The
+// StepPool worker steps every server through this helper, so an
+// automaton only has to implement AppendStepper to put its whole
+// deployment on the zero-allocation path.
 func StepInto(a Automaton, from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	if as, ok := a.(AppendStepper); ok {
 		return as.StepAppend(from, m, out)
@@ -48,111 +47,120 @@ func StepInto(a Automaton, from types.ProcID, m wire.Message, out []transport.Ou
 	return append(out, a.Step(from, m)...)
 }
 
-// Process is the lifecycle surface every runner flavor shares. It lets
-// a deployment hold heterogeneous runners — a ShardedRunner for a keyed
-// server, a plain Runner after a chaos schedule swapped in a Byzantine
-// behavior — behind one crash/stop interface.
-type Process interface {
-	Start()
-	Crash()
-	Stop()
-	CrashAfterSteps(n int)
-	Steps() int64
-}
-
-var (
-	_ Process = (*Runner)(nil)
-	_ Process = (*ShardedRunner)(nil)
-)
-
-// Runner drives one automaton from one endpoint.
+// Runner serves automata on one endpoint: a pump goroutine feeds the
+// endpoint's inbox into a StepPool, and every step's output goes back
+// out through the endpoint. A plain server is the one-shard case
+// (NewRunner); a keyed server splits its registers across shards
+// stepped in parallel (NewShardedRunner).
+//
+// Crash, CrashAfterSteps and Steps apply to the whole process — machines
+// fail, not shards — and are enforced by the pool's workers, so they
+// stay exact however many shards step concurrently.
 type Runner struct {
-	ep transport.Endpoint
-	a  Automaton
-
-	steps      atomic.Int64
-	crashAfter atomic.Int64 // crash once steps reaches this value; <0 means never
+	ep   transport.Endpoint
+	pool *StepPool
+	sink Sink
 
 	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	done      chan struct{} // closed when the pump has exited
 }
 
 // NewRunner creates a runner for the automaton a attached to ep. The
 // runner does not start pumping until Start is called.
 func NewRunner(ep transport.Endpoint, a Automaton) *Runner {
-	r := &Runner{
+	return NewShardedRunner(ep, []Automaton{a}, nil)
+}
+
+// NewShardedRunner creates a runner pumping ep into the shard automata.
+// route maps a message to a shard index (out-of-range results are
+// clamped into [0, len(shards))); it must be pure so every message for
+// one key lands on one shard. The runner does not start until Start.
+func NewShardedRunner(ep transport.Endpoint, shards []Automaton, route func(wire.Message) int) *Runner {
+	return &Runner{
 		ep:   ep,
-		a:    a,
-		stop: make(chan struct{}),
+		pool: newStepPool(shards, route),
+		sink: endpointSink{ep},
 		done: make(chan struct{}),
 	}
-	r.crashAfter.Store(-1)
-	return r
 }
 
-// Start launches the pump goroutine. Calling Start more than once, or
-// after Crash, is a no-op.
+// endpointSink sends a step's output back through the server's
+// endpoint. Best effort: the network may be shutting down underneath a
+// still-running server, and a correct server has nothing better to do
+// with a send error than keep serving.
+type endpointSink struct{ ep transport.Endpoint }
+
+func (s endpointSink) StepDone(_ int, out []transport.Outgoing) { _ = transport.SendAll(s.ep, out) }
+
+// Start launches the shard workers and the pump. Calling Start more
+// than once, or after Crash, is a no-op.
 func (r *Runner) Start() {
-	r.startOnce.Do(func() { go r.run() })
+	r.startOnce.Do(func() {
+		r.pool.start()
+		go r.pump()
+	})
 }
 
-// Crash stops the process immediately, as a crash failure: messages
-// already queued but not yet stepped are never processed, matching the
-// model where a crashed process takes no further steps. Crash is
-// idempotent and safe to call concurrently; it waits for the pump to
-// exit. Crashing a runner that was never started marks it permanently
+// Crash stops the process immediately, as a crash failure: no step
+// starts once Crash is called, so messages already queued but not yet
+// stepped are never processed, matching the model where a crashed
+// process takes no further steps. Crash is idempotent, safe to call
+// concurrently, and waits for every goroutine of the runner to exit.
+// Crashing a runner that was never started marks it permanently
 // stopped (an initially crashed server).
 func (r *Runner) Crash() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	// If Start never ran, consume the once so the pump can no longer
-	// launch, and close done ourselves; if Start ran first, this is a
-	// no-op and the pump closes done on exit.
+	r.pool.halt()
+	// If Start never ran, consume the once so nothing can launch later;
+	// if Start ran first, this waits for it and the pump closes done.
 	r.startOnce.Do(func() { close(r.done) })
+	r.pool.Close()
 	<-r.done
 }
 
-// CrashAfterSteps schedules a crash after n further automaton steps.
-// The process handles exactly n more messages and then stops — used to
-// script failures "in the middle" of an operation.
+// CrashAfterSteps schedules a crash after n further automaton steps,
+// counted across all shards: the process handles exactly n more
+// messages and then stops — used to script failures "in the middle" of
+// an operation.
 func (r *Runner) CrashAfterSteps(n int) {
-	r.crashAfter.Store(r.steps.Load() + int64(n))
+	r.pool.crashAfter.Store(r.pool.steps.Load() + int64(n))
 }
 
-// Steps reports the number of messages processed so far.
-func (r *Runner) Steps() int64 { return r.steps.Load() }
+// Steps reports the number of messages processed so far across all
+// shards.
+func (r *Runner) Steps() int64 { return r.pool.steps.Load() }
+
+// QueueLen reports the total number of messages queued across every
+// shard but not yet stepped — the live backpressure signal the admin
+// metrics export per server.
+func (r *Runner) QueueLen() int {
+	n := 0
+	for i := 0; i < r.pool.NumShards(); i++ {
+		n += r.pool.QueueLen(i)
+	}
+	return n
+}
 
 // Stop is an alias of Crash: in this model a graceful shutdown and a
 // crash are indistinguishable to the rest of the system.
 func (r *Runner) Stop() { r.Crash() }
 
-func (r *Runner) run() {
+// pump feeds the endpoint's inbox into the pool until the pool stops or
+// the endpoint closes. Submit blocks on a full shard queue, which holds
+// further messages in the endpoint's inbox.
+func (r *Runner) pump() {
 	defer close(r.done)
-	// scratch is the pump's reusable step-output buffer: one backing
-	// array for the runner's lifetime instead of one slice per message
-	// (see the AppendStepper ownership contract).
-	var scratch []transport.Outgoing
 	for {
 		select {
-		case <-r.stop:
+		case <-r.pool.stop:
 			return
 		case env, ok := <-r.ep.Recv():
 			if !ok {
+				r.pool.halt() // nothing more can arrive
 				return
 			}
-			// A crash scheduled for this step point takes effect before
-			// the message is processed.
-			if ca := r.crashAfter.Load(); ca >= 0 && r.steps.Load() >= ca {
-				r.stopOnce.Do(func() { close(r.stop) })
+			if !r.pool.Submit(env.From, env.Msg, r.sink, 0) {
 				return
 			}
-			scratch = StepInto(r.a, env.From, env.Msg, scratch[:0])
-			r.steps.Add(1)
-			// Best effort: the network may be shutting down underneath a
-			// still-running server; a correct server has nothing better
-			// to do with a send error than keep serving.
-			_ = transport.SendAll(r.ep, scratch)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func routeBySeq(n int) func(wire.Message) int {
 	}
 }
 
-func setupSharded(t *testing.T, shards int) (*simnet.Network, transport.Endpoint, *ShardedRunner, []*shardEcho) {
+func setupSharded(t *testing.T, shards int) (*simnet.Network, transport.Endpoint, *Runner, []*shardEcho) {
 	t.Helper()
 	n, err := simnet.New([]types.ProcID{types.WriterID(), types.ServerID(0)})
 	if err != nil {
@@ -263,5 +263,76 @@ func TestShardedRunnerOutOfRangeRouteClamps(t *testing.T) {
 	env := recvOrFail(t, cli)
 	if ack := env.Msg.(wire.ABDReadAck); ack.Seq != 7 {
 		t.Errorf("reply came from shard-tagged ack %d, want 7 (shard 0 clamped)", ack.Seq)
+	}
+}
+
+// gatedEcho is shardEcho whose first step blocks until gate closes,
+// announcing through entered that it has begun.
+type gatedEcho struct {
+	shardEcho
+	entered, gate chan struct{}
+}
+
+func (g *gatedEcho) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+	if g.steps == 0 {
+		close(g.entered)
+		<-g.gate
+	}
+	return g.shardEcho.Step(from, m)
+}
+
+// TestCrashDropsQueuedMessages pins the crash semantics: messages
+// queued before Crash are never stepped, even when the worker finds
+// both the crash signal and a queued message ready. The first step is
+// held on a gate while more messages queue behind it on the same
+// shard; the crash lands, then the gate opens. Each round is ordered
+// through channels and queue depths, not sleeps, and the rounds repeat
+// because a worker that picked at random between the two would step a
+// queued message about half the time.
+func TestCrashDropsQueuedMessages(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for round := 0; round < 20; round++ {
+			n, err := simnet.New([]types.ProcID{types.WriterID(), types.ServerID(0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli, _ := n.Endpoint(types.WriterID())
+			srv, _ := n.Endpoint(types.ServerID(0))
+			autos := make([]Automaton, shards)
+			for i := range autos {
+				autos[i] = &shardEcho{shard: i}
+			}
+			g := &gatedEcho{entered: make(chan struct{}), gate: make(chan struct{})}
+			autos[0] = g
+			r := NewShardedRunner(srv, autos, routeBySeq(shards))
+			r.Start()
+
+			const queued = 3
+			for i := 0; i <= queued; i++ {
+				// Seq multiples of shards all route to the gated shard 0.
+				if err := cli.Send(types.ServerID(0), wire.ABDRead{Seq: int64(i * shards)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			<-g.entered
+			for r.QueueLen() < queued {
+				runtime.Gosched()
+			}
+			crashed := make(chan struct{})
+			go func() {
+				r.Crash()
+				close(crashed)
+			}()
+			<-r.pool.stop // the crash has been signalled
+			close(g.gate)
+			<-crashed
+			if got := r.Steps(); got != 1 {
+				t.Fatalf("shards=%d round %d: Steps() = %d after crash, want 1", shards, round, got)
+			}
+			if g.steps != 1 {
+				t.Fatalf("shards=%d round %d: gated shard stepped %d times, want 1", shards, round, g.steps)
+			}
+			n.Close()
+		}
 	}
 }

@@ -2,6 +2,7 @@ package node
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
@@ -9,41 +10,56 @@ import (
 )
 
 // stepQueueDepth bounds each shard's job queue. A full queue blocks
-// Submit — backpressure on whoever feeds the pool (e.g. a TCP read
-// loop, which then stops reading its socket) instead of unbounded
-// memory growth under overload.
+// Submit — backpressure on whoever feeds the pool (a Runner's endpoint
+// pump, a TCP read loop that then stops reading its socket) instead of
+// unbounded memory growth under overload. No worker ever waits on its
+// feeder, so a full queue cannot deadlock.
 const stepQueueDepth = 256
 
-// poolJob is one queued automaton step plus the callback that receives
-// its output — or, when do is set, an arbitrary closure run with
-// exclusive ownership of the shard automaton (see Do).
+// Sink receives the output of submitted steps. StepDone runs on the
+// stepping shard's worker goroutine and therefore must not block; a
+// blocking sink stalls every key on that shard. tag is the value passed
+// to Submit, so one sink can tell many in-flight steps apart without a
+// per-step closure.
+//
+// out is the worker's reusable scratch buffer (the step-sink contract,
+// DESIGN.md §5): it is valid only for the duration of the call, so a
+// sink that needs the replies later must copy the message values out
+// (the values themselves are safe to retain — only the slice is reused).
+type Sink interface {
+	StepDone(tag int, out []transport.Outgoing)
+}
+
+// poolJob is one queued automaton step plus the sink that receives its
+// output — or, when do is set, an arbitrary closure run with exclusive
+// ownership of the shard automaton (see Do).
 type poolJob struct {
 	from types.ProcID
 	msg  wire.Message
-	sink func([]transport.Outgoing)
+	sink Sink
+	tag  int
 	do   func(Automaton)
 }
 
-// StepPool drives shard automata from explicit submissions, the
-// synchronous sibling of ShardedRunner: where the runner pumps an
-// endpoint and sends the outputs back through it, the pool lets a
-// caller submit individual steps and collect each step's output through
-// a per-submission callback. One worker goroutine owns each shard
-// exclusively, so shard automata (e.g. keyed.ShardedServer's unlocked
-// per-shard maps) need no locking, and independent shards step in
-// parallel.
+// StepPool is the one engine that steps server automata: one worker
+// goroutine owns each shard exclusively, so shard automata (e.g.
+// keyed.ShardedServer's unlocked per-shard maps) need no locking, and
+// independent shards step in parallel. Callers feed it with Submit —
+// a Runner pumps an endpoint into it, tcpnet's read loops feed it
+// decoded frames.
 //
-// The sink callback runs on the shard's worker goroutine and therefore
-// must not block; a blocking sink stalls every key on that shard. The
-// slice handed to the sink is the worker's reusable scratch buffer
-// (the step-sink contract, DESIGN.md §5): it is valid only for the
-// duration of the callback, so a sink that needs the replies later
-// must copy the message values out (the values themselves are safe to
-// retain — only the slice is reused).
+// The pool also carries the crash model. Close stops it as a crash:
+// no step starts once it is called, and queued steps are dropped. The
+// step budget (CrashAfterSteps on a Runner) is enforced by the workers
+// with an atomic ticket, so "handle exactly n more messages, then stop"
+// holds even across concurrent shards.
 type StepPool struct {
 	shards []Automaton
 	route  func(wire.Message) int
 	queues []chan poolJob
+
+	steps      atomic.Int64
+	crashAfter atomic.Int64 // halt once steps reaches this value; <0 means never
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -53,8 +69,16 @@ type StepPool struct {
 // NewStepPool creates a pool stepping the shard automata and starts one
 // worker per shard. route maps a message to a shard index (out-of-range
 // results are clamped into [0, len(shards))); it must be pure so every
-// message for one key lands on one shard.
+// message for one key lands on one shard. A nil route sends everything
+// to shard 0.
 func NewStepPool(shards []Automaton, route func(wire.Message) int) *StepPool {
+	p := newStepPool(shards, route)
+	p.start()
+	return p
+}
+
+// newStepPool builds a pool whose workers do not run until start.
+func newStepPool(shards []Automaton, route func(wire.Message) int) *StepPool {
 	if len(shards) == 0 {
 		panic("node: step pool needs at least one shard")
 	}
@@ -67,11 +91,15 @@ func NewStepPool(shards []Automaton, route func(wire.Message) int) *StepPool {
 	for i := range p.queues {
 		p.queues[i] = make(chan poolJob, stepQueueDepth)
 	}
-	p.wg.Add(len(shards))
-	for i := range shards {
+	p.crashAfter.Store(-1)
+	return p
+}
+
+func (p *StepPool) start() {
+	p.wg.Add(len(p.shards))
+	for i := range p.shards {
 		go p.work(i)
 	}
-	return p
 }
 
 // Submit queues one step on the message's shard and returns true, or
@@ -80,15 +108,17 @@ func NewStepPool(shards []Automaton, route func(wire.Message) int) *StepPool {
 // the job was queued, not that it will run: Close drops queued jobs,
 // so a caller waiting on a sink must also watch its own shutdown
 // signal (as tcpnet's write pump does).
-func (p *StepPool) Submit(from types.ProcID, m wire.Message, sink func([]transport.Outgoing)) bool {
-	i := p.route(m)
-	if i < 0 || i >= len(p.queues) {
-		i = 0
+func (p *StepPool) Submit(from types.ProcID, m wire.Message, sink Sink, tag int) bool {
+	i := 0
+	if p.route != nil {
+		if i = p.route(m); i < 0 || i >= len(p.queues) {
+			i = 0
+		}
 	}
 	select {
 	case <-p.stop:
 		return false
-	case p.queues[i] <- poolJob{from: from, msg: m, sink: sink}:
+	case p.queues[i] <- poolJob{from: from, msg: m, sink: sink, tag: tag}:
 		return true
 	}
 }
@@ -142,9 +172,12 @@ func (p *StepPool) QueueLen(i int) int {
 // from the server crashing with those messages in flight, which the
 // protocols tolerate. Close is idempotent.
 func (p *StepPool) Close() {
-	p.stopOnce.Do(func() { close(p.stop) })
+	p.halt()
 	p.wg.Wait()
 }
+
+// halt signals every worker (and every Submit) to stop without waiting.
+func (p *StepPool) halt() { p.stopOnce.Do(func() { close(p.stop) }) }
 
 // work is shard i's worker: the only goroutine ever stepping shards[i],
 // and the exclusive owner of the scratch buffer its sinks see.
@@ -152,18 +185,45 @@ func (p *StepPool) work(i int) {
 	defer p.wg.Done()
 	var scratch []transport.Outgoing
 	for {
+		var job poolJob
 		select {
 		case <-p.stop:
 			return
-		case job := <-p.queues[i]:
-			if job.do != nil {
-				job.do(p.shards[i])
-				continue
-			}
-			scratch = StepInto(p.shards[i], job.from, job.msg, scratch[:0])
-			if job.sink != nil {
-				job.sink(scratch)
-			}
+		case job = <-p.queues[i]:
+		}
+		// When stop and a job are both ready the select above picks at
+		// random; this second look makes a crash win, so a message
+		// queued before Close is never stepped after it.
+		select {
+		case <-p.stop:
+			return
+		default:
+		}
+		if job.do != nil {
+			job.do(p.shards[i])
+			continue
+		}
+		if !p.reserveStep() {
+			return
+		}
+		scratch = StepInto(p.shards[i], job.from, job.msg, scratch[:0])
+		job.sink.StepDone(job.tag, scratch)
+	}
+}
+
+// reserveStep claims one step ticket, or halts the pool and reports
+// false if the budget is exhausted. The CAS loop makes the budget exact
+// across concurrent workers: each ticket admits one message, the
+// (n+1)-th reservation crashes the pool instead.
+func (p *StepPool) reserveStep() bool {
+	for {
+		s := p.steps.Load()
+		if ca := p.crashAfter.Load(); ca >= 0 && s >= ca {
+			p.halt()
+			return false
+		}
+		if p.steps.CompareAndSwap(s, s+1) {
+			return true
 		}
 	}
 }

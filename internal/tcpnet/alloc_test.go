@@ -3,10 +3,20 @@
 package tcpnet
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
 	"testing"
 
 	"luckystore/internal/core"
+	"luckystore/internal/kv"
+	"luckystore/internal/node"
+	"luckystore/internal/transport"
 	"luckystore/internal/types"
+	"luckystore/internal/wire"
 )
 
 // tcpSteadyStateAllocBudget bounds a steady-state fast operation over
@@ -26,7 +36,7 @@ import (
 // not with the pipeline.
 const tcpSteadyStateAllocBudget = 12
 
-// tcpAllocCluster starts S serialized-mode servers and a client
+// tcpAllocCluster starts S one-shard servers (Listen) and a client
 // endpoint for id over loopback TCP.
 func tcpAllocCluster(t *testing.T, cfg core.Config, id types.ProcID) *Client {
 	t.Helper()
@@ -97,5 +107,115 @@ func TestGetSteadyStateAllocsTCP(t *testing.T) {
 	}
 	if !r.LastMeta().Fast() {
 		t.Fatal("reads were not fast; the measurement did not hit the steady-state path")
+	}
+}
+
+// batchFrame encodes one request frame from reader r0 to s0: a Batch of
+// k keyed round-1 READs on distinct keys.
+func batchFrame(t *testing.T, k int) []byte {
+	t.Helper()
+	b := wire.Batch{}
+	for i := 0; i < k; i++ {
+		b.Msgs = append(b.Msgs, wire.Keyed{Key: fmt.Sprintf("key-%d", i), Inner: wire.Read{TSR: 1, Round: 1}})
+	}
+	frame, err := wire.AppendFrame(nil, wire.Envelope{From: types.ReaderID(0), To: types.ServerID(0), Msg: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// pipelineAllocs measures allocations per request frame of k keyed
+// messages served by ListenSharded over a keyed.ShardedServer, from a
+// raw client connection that writes pre-encoded bytes and reads the
+// reply frame into a reused buffer (so the client side allocates
+// nothing), minus the same frame's codec and step cost measured
+// directly: decode, step every message on a twin server, and encode
+// the coalesced replies. What remains is what the pipeline itself
+// (read loop, shard queues, reply slots, write pump) pays per frame.
+func pipelineAllocs(t *testing.T, k int) float64 {
+	t.Helper()
+	frame := batchFrame(t, k)
+	const shards = 4
+
+	auto := kv.NewShardedServerAutomaton(shards)
+	srv, err := ListenSharded(types.ServerID(0), "127.0.0.1:0", auto.Shards(), auto.Route())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := writeHello(conn, types.ReaderID(0)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReaderSize(conn, connBufSize)
+	var hdr [4]byte
+	body := make([]byte, 0, 64<<10)
+	roundTrip := func() {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		// k replies to one request frame coalesce into one Batch frame.
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		body = body[:binary.BigEndian.Uint32(hdr[:])]
+		if _, err := io.ReadFull(br, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		roundTrip()
+	}
+	served := testing.AllocsPerRun(200, roundTrip)
+
+	twin := kv.NewShardedServerAutomaton(shards)
+	twinShards, route := twin.Shards(), twin.Route()
+	peer, self := types.ReaderID(0), types.ServerID(0)
+	rd := bytes.NewReader(frame)
+	var scratch []transport.Outgoing
+	var replies []wire.Message
+	bw := bufio.NewWriterSize(io.Discard, connBufSize)
+	direct := func() {
+		rd.Reset(frame)
+		env, err := wire.DecodeFrame(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies = replies[:0]
+		for _, e := range wire.Expand(env) {
+			scratch = node.StepInto(twinShards[route(e.Msg)], peer, e.Msg, scratch[:0])
+			for _, o := range scratch {
+				replies = append(replies, o.Msg)
+			}
+		}
+		if err := writeReplies(bw, self, peer, replies); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		direct()
+	}
+	return served - testing.AllocsPerRun(200, direct)
+}
+
+// TestBatchFrameAllocsFlatInK is the batch-frame alloc contract: the
+// allocations the TCP pipeline adds to one request frame must not grow
+// with the number of keyed messages the frame carries. A step costs
+// the pipeline no per-message allocation — the frame is the sink of
+// its own steps, each slot index the tag.
+func TestBatchFrameAllocsFlatInK(t *testing.T) {
+	one := pipelineAllocs(t, 1)
+	many := pipelineAllocs(t, 32)
+	t.Logf("pipeline allocs per frame: k=1 %.1f, k=32 %.1f", one, many)
+	if many > one+1 {
+		t.Errorf("pipeline allocs grow with batch size: %.1f at k=1, %.1f at k=32", one, many)
 	}
 }

@@ -3,11 +3,11 @@ package tcpnet
 import "luckystore/internal/metrics"
 
 // ServerMetrics instruments one TCP server process: request frames
-// decoded, reply messages sent, and — on the sharded path — per-key-
-// class service latency from shard submission to the reply leaving the
-// step worker (queueing included, socket write excluded). Class labels
-// come from metrics.KeyClass, so a serving luckyd exposes the same
-// class partition clients measure against. Nil disables everything.
+// decoded, reply messages sent, and per-key-class service latency from
+// shard submission to the reply leaving the step worker (queueing
+// included, socket write excluded). Class labels come from
+// metrics.KeyClass, so a serving luckyd exposes the same class
+// partition clients measure against. Nil disables everything.
 type ServerMetrics struct {
 	FramesIn *metrics.Counter
 	Replies  *metrics.Counter

@@ -7,7 +7,10 @@ package tcpnet
 
 import (
 	"errors"
+	"net"
+	"os"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -164,5 +167,73 @@ func TestConcurrentSendsSurviveRestart(t *testing.T) {
 
 	if sendErr != nil {
 		t.Fatalf("a sender observed an error across the restart: %v", sendErr)
+	}
+}
+
+// refusingDial wraps a client's dialer so its next n dials are refused,
+// as a server mid-restart refuses them, and counts every attempt.
+func refusingDial(c *Client, n int) *int {
+	attempts := 0
+	real := c.dial
+	c.dial = func(addr string) (net.Conn, error) {
+		attempts++
+		if attempts <= n {
+			return nil, &net.OpError{Op: "dial", Net: "tcp", Err: os.NewSyscallError("connect", syscall.ECONNREFUSED)}
+		}
+		return real(addr)
+	}
+	return &attempts
+}
+
+// A server crash-restarting on its address refuses dials for a moment.
+// A client whose connection to it has just died must ride that window
+// out instead of failing the send: the refusal is retried within the
+// restart grace. The restart is modeled without timing: the live
+// connection is dropped as the read loop does on EOF, and the dialer
+// refuses the first redials.
+func TestRedialRidesOutRestartWindow(t *testing.T) {
+	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", core.NewServer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(types.WriterID(), map[types.ProcID]string{srv.ID(): srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	pw := wire.PW{TS: 1, PW: types.Tagged{TS: 1, Val: "v"}, W: types.Bottom()}
+	if err := cl.Send(srv.ID(), pw); err != nil {
+		t.Fatal(err)
+	}
+
+	cc, err := cl.connFor(srv.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.dropConn(srv.ID(), cc)
+	attempts := refusingDial(cl, 2)
+	if err := cl.Send(srv.ID(), pw); err != nil {
+		t.Fatalf("send across the restart window: %v", err)
+	}
+	if *attempts != 3 {
+		t.Errorf("dial attempts = %d, want 2 refused + 1 accepted", *attempts)
+	}
+}
+
+// The grace is only for a connection that just died: a server this
+// client never reached fails fast on the first refusal.
+func TestRefusedDialFailsFastWithoutLostConnection(t *testing.T) {
+	cl, err := Dial(types.WriterID(), map[types.ProcID]string{types.ServerID(0): "127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	attempts := refusingDial(cl, 100)
+	if err := cl.Send(types.ServerID(0), wire.Read{TSR: 1, Round: 1}); !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Fatalf("send to a refusing server = %v, want connection refused", err)
+	}
+	if *attempts != 1 {
+		t.Errorf("dial attempts = %d, want 1", *attempts)
 	}
 }

@@ -24,26 +24,34 @@ const framePipelineDepth = 64
 // ListenSharded starts a server whose automaton is split into shards
 // stepped in parallel: a node.StepPool owns one worker per shard, every
 // connection's read loop routes each inbound message to its shard, and
-// a per-connection write pump sends the replies. Unlike Listen, no
-// mutex serializes steps across connections — messages for different
-// shards (different keys, under keyed.ShardedServer's routing) are
-// stepped concurrently, across and within connections.
+// a per-connection write pump sends the replies. No mutex serializes
+// steps across connections — messages for different shards (different
+// keys, under keyed.ShardedServer's routing) are stepped concurrently,
+// across and within connections.
 //
-// The reply contract matches Listen's serialized loop: all replies to
-// one request frame coalesce into batch frames (one frame per round
-// trip for a batched multi-key request), reply frames for one
-// connection go out in request order, and so per-(peer,key) FIFO order
-// is preserved end to end.
+// All replies to one request frame coalesce into batch frames (one
+// frame per round trip for a batched multi-key request), reply frames
+// for one connection go out in request order, and so per-(peer,key)
+// FIFO order is preserved end to end.
 //
 // The shards and route function typically come from a
-// keyed.ShardedServer's Shards and Route methods.
+// keyed.ShardedServer's Shards and Route methods; a nil route sends
+// every message to shard 0.
 func ListenSharded(id types.ProcID, addr string, shards []node.Automaton, route func(wire.Message) int, opts ...ServerOption) (*Server, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("tcpnet: sharded server needs at least one shard")
 	}
-	s, err := listen(id, addr)
+	if !id.IsServer() {
+		return nil, fmt.Errorf("tcpnet: %q is not a server id", id)
+	}
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tcpnet listen %s: %w", addr, err)
+	}
+	s := &Server{
+		id: id, ln: ln,
+		conns:  make(map[net.Conn]struct{}),
+		closed: make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -54,39 +62,49 @@ func ListenSharded(id types.ProcID, addr string, shards []node.Automaton, route 
 	return s, nil
 }
 
-// replySlot holds one inner message's replies to the peer. A step of
-// this protocol family produces at most one reply to the requester, so
-// the slot stores that message inline; rest exists only for exotic
-// automata and stays nil on the hot path.
+// replySlot holds one inner message's replies to the peer, plus the
+// request's metrics class and submit time. A step of this protocol
+// family produces at most one reply to the requester, so the slot
+// stores that message inline; rest exists only for exotic automata and
+// stays nil on the hot path.
 type replySlot struct {
 	msg  wire.Message
 	rest []wire.Message
+	cls  int       // metrics.KeyClass of the request; -1 when unobserved
+	t0   time.Time // submit time, set only when cls >= 0
 }
 
 // pendingFrame collects the replies of one request frame: one slot per
 // inner message, filled by shard workers as steps complete, in whatever
-// order the shards finish. ready closes when every slot is filled, and
-// the write pump reads the slots in request order — intra-frame reply
+// order the shards finish. The last fill puts a token in ready, and the
+// write pump reads the slots in request order — intra-frame reply
 // order is deterministic even though stepping was parallel.
 //
-// Frames are pooled: in the steady state a request frame costs one
-// channel allocation, not a struct + slot array + per-slot reply slice.
+// A frame is the node.Sink of its own steps, its slot index the tag, so
+// submitting a step allocates nothing. Frames are pooled together with
+// their slot arrays and their one-slot ready channel; a frame goes back
+// to the pool only after its token has been taken, so a recycled frame
+// never holds a stale one.
 type pendingFrame struct {
+	peer      types.ProcID
+	met       *ServerMetrics
 	slots     []replySlot
 	remaining atomic.Int32
 	ready     chan struct{}
 }
 
-var framePool = sync.Pool{New: func() any { return new(pendingFrame) }}
+var framePool = sync.Pool{New: func() any {
+	return &pendingFrame{ready: make(chan struct{}, 1)}
+}}
 
-func newPendingFrame(n int) *pendingFrame {
+func newPendingFrame(n int, peer types.ProcID, met *ServerMetrics) *pendingFrame {
 	pf := framePool.Get().(*pendingFrame)
 	if cap(pf.slots) < n {
 		pf.slots = make([]replySlot, n)
 	} else {
 		pf.slots = pf.slots[:n]
 	}
-	pf.ready = make(chan struct{})
+	pf.peer, pf.met = peer, met
 	pf.remaining.Store(int32(n))
 	return pf
 }
@@ -99,15 +117,18 @@ func (pf *pendingFrame) release() {
 	framePool.Put(pf)
 }
 
-// fill stores slot i's replies — selected from the worker's scratch
-// output, which is only valid during this call — and closes ready when
-// it was the last outstanding slot. Each slot is filled exactly once,
-// by the worker that stepped its message; the atomic decrement orders
-// every fill before the close, so the pump reads the slots race-free.
-func (pf *pendingFrame) fill(i int, out []transport.Outgoing, peer types.ProcID) {
+// StepDone implements node.Sink: it stores slot i's replies — selected
+// from the worker's scratch output, which is only valid during this
+// call — and hands the pump the ready token when it was the last
+// outstanding slot. Each slot is filled exactly once, by the worker
+// that stepped its message; the atomic decrement orders every fill
+// before the token, so the pump reads the slots race-free. Past its
+// decrement a worker touches nothing of the frame but the token it may
+// send: once the token is taken, the pump recycles the frame.
+func (pf *pendingFrame) StepDone(i int, out []transport.Outgoing) {
 	slot := &pf.slots[i]
 	for _, o := range out {
-		if o.To != peer {
+		if o.To != pf.peer {
 			continue // a data-centric server replies only to the requester
 		}
 		if slot.msg == nil {
@@ -116,8 +137,11 @@ func (pf *pendingFrame) fill(i int, out []transport.Outgoing, peer types.ProcID)
 			slot.rest = append(slot.rest, o.Msg)
 		}
 	}
+	if slot.cls >= 0 {
+		pf.met.Service[slot.cls].ObserveSince(slot.t0)
+	}
 	if pf.remaining.Add(-1) == 0 {
-		close(pf.ready)
+		pf.ready <- struct{}{}
 	}
 }
 
@@ -133,14 +157,16 @@ func (pf *pendingFrame) appendReplies(buf []wire.Message) []wire.Message {
 	return buf
 }
 
-// servePipelined handles one connection on the sharded path: the read
-// loop (this goroutine) decodes frames and submits each inner message
-// to its shard worker, and the write pump goroutine sends each frame's
-// coalesced replies once its steps complete, in request order.
+// servePipelined handles one connection: the read loop (this
+// goroutine) decodes frames and submits each inner message to its shard
+// worker, and the write pump goroutine sends each frame's coalesced
+// replies once its steps complete, in request order. The pump outlives
+// the read loop until every queued frame is written, then closes the
+// connection.
 func (s *Server) servePipelined(conn net.Conn, peer types.ProcID) {
 	frames := make(chan *pendingFrame, framePipelineDepth)
-	pumpDone := make(chan struct{})
-	go s.writePump(conn, peer, frames, pumpDone)
+	s.wg.Add(1) // under serveConn's count, so never racing Close's Wait
+	go s.writePump(conn, peer, frames)
 
 	br := bufio.NewReaderSize(conn, connBufSize)
 readLoop:
@@ -154,7 +180,7 @@ readLoop:
 		if len(inner) == 0 {
 			continue
 		}
-		pf := newPendingFrame(len(inner))
+		pf := newPendingFrame(len(inner), peer, s.met)
 		select {
 		case frames <- pf:
 		case <-s.closed:
@@ -162,37 +188,27 @@ readLoop:
 			break readLoop
 		}
 		for i, e := range inner {
-			slot := i
 			// Per-key-class service latency: submit to reply-filled,
-			// measured only for keyed messages on an instrumented server
-			// (cls stays -1 otherwise and the sink skips the observe).
-			var t0 time.Time
-			cls := -1
+			// measured only for keyed messages on an instrumented server.
+			slot := &pf.slots[i]
+			slot.cls = -1
 			if s.met != nil {
 				if k, isKeyed := e.Msg.(wire.Keyed); isKeyed {
-					cls = metrics.KeyClass(k.Key)
-					t0 = time.Now()
+					slot.cls = metrics.KeyClass(k.Key)
+					slot.t0 = time.Now()
 				}
 			}
 			// The connection authenticates the sender: ignore the
-			// claimed From and use the handshake identity. The sink runs
-			// on the shard worker; it only copies the peer-bound replies
-			// out of the worker's scratch and decrements.
-			ok := s.pool.Submit(peer, e.Msg, func(out []transport.Outgoing) {
-				pf.fill(slot, out, peer)
-				if cls >= 0 {
-					s.met.Service[cls].ObserveSince(t0)
-				}
-			})
-			if !ok {
+			// claimed From and use the handshake identity.
+			if !s.pool.Submit(peer, e.Msg, pf, i) {
 				// Pool closed mid-frame: complete the slot empty so the
 				// pump can drain and exit.
-				pf.fill(slot, nil, peer)
+				slot.cls = -1
+				pf.StepDone(i, nil)
 			}
 		}
 	}
 	close(frames)
-	<-pumpDone
 }
 
 // writePump is the connection's dedicated writer: it takes completed
@@ -210,8 +226,9 @@ readLoop:
 // over a burst. The one-reply-frame-per-request contract and request-
 // order frame sequence are untouched: buffering delays bytes, never
 // reorders or merges frames.
-func (s *Server) writePump(conn net.Conn, peer types.ProcID, frames <-chan *pendingFrame, done chan<- struct{}) {
-	defer close(done)
+func (s *Server) writePump(conn net.Conn, peer types.ProcID, frames <-chan *pendingFrame) {
+	defer s.wg.Done()
+	defer s.dropConn(conn)
 	bw := bufio.NewWriterSize(conn, connBufSize)
 	var replyBuf []wire.Message
 	broken := false
@@ -261,15 +278,15 @@ func (s *Server) writePump(conn net.Conn, peer types.ProcID, frames <-chan *pend
 }
 
 // awaitAndRelease returns a dropped frame to the pool once its last
-// fill has happened — a frame still being filled by shard workers must
-// not be recycled under them.
+// fill has happened, taking the ready token — a frame still being
+// filled by shard workers must not be recycled under them.
 func (s *Server) awaitAndRelease(pf *pendingFrame) {
 	select {
 	case <-pf.ready:
 		pf.release()
 	default:
 		// Workers are still filling slots (or the pool dropped the jobs
-		// on Close and ready will never close): leave the frame to the
-		// GC rather than risk recycling it mid-fill.
+		// on Close and the token will never come): leave the frame to
+		// the GC rather than risk recycling it mid-fill.
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"luckystore/internal/node"
@@ -52,17 +53,15 @@ const connBufSize = 32 << 10
 // the connection's lifetime.
 const maxRetainedConnBuf = 1 << 20
 
-// Server serves one automaton over TCP, in one of two stepping modes:
-// Listen serializes every step behind a mutex (one plain automaton),
-// ListenSharded steps a shard pool in parallel (see sharded.go).
+// Server serves automata over TCP: a node.StepPool steps them, every
+// connection's read loop feeds it decoded requests, and a per-
+// connection write pump sends the replies (see sharded.go).
 type Server struct {
 	id   types.ProcID
 	ln   net.Listener
-	auto node.Automaton // serialized mode; nil when sharded
-	pool *node.StepPool // sharded mode; nil when serialized
+	pool *node.StepPool
 	met  *ServerMetrics // nil when uninstrumented
 
-	mu        sync.Mutex // serializes automaton steps across connections
 	connMu    sync.Mutex
 	conns     map[net.Conn]struct{}
 	wg        sync.WaitGroup
@@ -79,38 +78,12 @@ func WithServerMetrics(m *ServerMetrics) ServerOption {
 }
 
 // Listen starts a server for the automaton on addr (e.g.
-// "127.0.0.1:0"); the chosen address is available via Addr. Every
-// automaton step is serialized behind one mutex; a keyed store meant to
-// step independent keys in parallel should use ListenSharded instead.
+// "127.0.0.1:0"); the chosen address is available via Addr. It is
+// ListenSharded with one shard: one worker steps the automaton, so it
+// needs no locking of its own. A keyed store meant to step independent
+// keys in parallel should use ListenSharded with its shards.
 func Listen(id types.ProcID, addr string, auto node.Automaton, opts ...ServerOption) (*Server, error) {
-	s, err := listen(id, addr)
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	s.auto = auto
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// listen validates the id and binds the listener; the caller installs
-// the stepping backend and starts the accept loop.
-func listen(id types.ProcID, addr string) (*Server, error) {
-	if !id.IsServer() {
-		return nil, fmt.Errorf("tcpnet: %q is not a server id", id)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("tcpnet listen %s: %w", addr, err)
-	}
-	return &Server{
-		id: id, ln: ln,
-		conns:  make(map[net.Conn]struct{}),
-		closed: make(chan struct{}),
-	}, nil
+	return ListenSharded(id, addr, []node.Automaton{auto}, nil, opts...)
 }
 
 // Addr returns the listening address.
@@ -119,9 +92,9 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // ID returns the server's process id.
 func (s *Server) ID() types.ProcID { return s.id }
 
-// Pool returns the sharded step pool, nil in serialized mode. The
-// admin surface uses it for per-shard queue-depth gauges and for
-// walking live shard state on the worker goroutines (StepPool.Do).
+// Pool returns the server's step pool. The admin surface uses it for
+// per-shard queue-depth gauges and for walking live shard state on the
+// worker goroutines (StepPool.Do).
 func (s *Server) Pool() *node.StepPool { return s.pool }
 
 // Close stops the listener and every connection, waiting for all
@@ -138,9 +111,7 @@ func (s *Server) Close() error {
 		}
 		s.connMu.Unlock()
 		s.wg.Wait()
-		if s.pool != nil {
-			s.pool.Close()
-		}
+		s.pool.Close()
 	})
 	return err
 }
@@ -169,64 +140,20 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		_ = conn.Close()
-	}()
-
 	peer, err := readHello(conn)
 	if err != nil || !peer.Valid() || peer.IsServer() {
-		return // reject unidentified or server-impersonating peers
-	}
-	if s.pool != nil {
-		s.servePipelined(conn, peer)
+		s.dropConn(conn) // reject unidentified or server-impersonating peers
 		return
 	}
-	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	// Per-connection reusable buffers: the automaton appends step output
-	// into scratch (the step-sink contract) and peer-bound replies
-	// accumulate in replies, both backed by one array across frames.
-	var scratch []transport.Outgoing
-	var replies []wire.Message
-	for {
-		env, err := wire.DecodeFrame(br)
-		if err != nil {
-			return // EOF, malformed frame, or closed
-		}
-		s.met.frameIn()
-		// A batch frame unwraps at the endpoint boundary: each inner
-		// message is a separate automaton step. Replies to one batch
-		// coalesce back into a single frame, so a lucky multi-key round
-		// trip costs one frame each way.
-		replies = replies[:0]
-		for _, e := range wire.Expand(env) {
-			// The connection authenticates the sender: ignore the claimed
-			// From and use the handshake identity.
-			s.mu.Lock()
-			scratch = node.StepInto(s.auto, peer, e.Msg, scratch[:0])
-			s.mu.Unlock()
-			for _, o := range scratch {
-				if o.To != peer {
-					continue // a data-centric server replies only to the requester
-				}
-				replies = append(replies, o.Msg)
-			}
-		}
-		// One flush per request frame: the buffered writer turns a
-		// multi-frame reply set into one syscall, and flushing here (not
-		// later) keeps the one-reply-frame-per-round-trip latency
-		// contract — nothing a client is waiting for sits in the buffer.
-		if err := writeReplies(bw, s.id, peer, replies); err != nil {
-			return
-		}
-		s.met.replies(len(replies))
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
+	s.servePipelined(conn, peer)
+}
+
+// dropConn closes a connection and forgets it.
+func (s *Server) dropConn(conn net.Conn) {
+	s.connMu.Lock()
+	delete(s.conns, conn)
+	s.connMu.Unlock()
+	_ = conn.Close()
 }
 
 // writeReplies frames a step's replies back to the peer: runs of keyed
@@ -249,6 +176,7 @@ type Client struct {
 	mu     sync.Mutex
 	conns  map[types.ProcID]*clientConn
 	dials  map[types.ProcID]*dialCall // in-flight dials, one per destination
+	lost   map[types.ProcID]time.Time // when each destination's last connection died
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -325,6 +253,7 @@ func Dial(id types.ProcID, servers map[types.ProcID]string, opts ...ClientOption
 		dial:  func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
 		conns: make(map[types.ProcID]*clientConn),
 		dials: make(map[types.ProcID]*dialCall),
+		lost:  make(map[types.ProcID]time.Time),
 	}
 	for _, o := range opts {
 		o(c)
@@ -348,8 +277,9 @@ func (c *Client) Recv() <-chan wire.Envelope { return c.mbox.Out() }
 // fails, but the server itself is back — without the retry every
 // client would pay one lost message per restart (and only dropConn
 // would clean up), which breaks crash-restart schedules over TCP.
-// Dial failures are not retried: they mean the server is actually
-// down, not that our connection went stale.
+// Dial failures are not retried, beyond the restart grace of
+// dialConn: they mean the server is actually down, not that our
+// connection went stale.
 func (c *Client) Send(to types.ProcID, m wire.Message) error {
 	env := wire.Envelope{From: c.id, To: to, Msg: m}
 	retried, err := c.sendOnce(to, env)
@@ -481,7 +411,7 @@ func (c *Client) connFor(to types.ProcID) (*clientConn, error) {
 // owns the destination's dialCall; on return (and only then) the call
 // entry is cleared, so a failed dial can be retried by a later send.
 func (c *Client) dialConn(to types.ProcID, addr string) (*clientConn, error) {
-	conn, err := c.dial(addr)
+	conn, err := c.dialGrace(to, addr)
 	if err == nil {
 		if herr := writeHello(conn, c.id); herr != nil {
 			_ = conn.Close()
@@ -512,11 +442,36 @@ func (c *Client) dialConn(to types.ProcID, addr string) (*clientConn, error) {
 	return cc, nil
 }
 
+// restartGrace bounds how long a client keeps redialing a server that
+// refuses connections right after its established connection died: a
+// server crash-restarting on the same address refuses dials between
+// closing its old listener and binding the new one.
+const restartGrace = 5 * time.Millisecond
+
+// dialGrace dials addr. A refusal within restartGrace of losing the
+// established connection to the same server is retried every
+// restartGrace/10; past the grace — or for a server this client never
+// reached — a refusal means the server is down and fails fast. A server
+// that is simply down thus costs each client one grace, once.
+func (c *Client) dialGrace(to types.ProcID, addr string) (net.Conn, error) {
+	c.mu.Lock()
+	deadline := c.lost[to].Add(restartGrace)
+	c.mu.Unlock()
+	for {
+		conn, err := c.dial(addr)
+		if err == nil || !errors.Is(err, syscall.ECONNREFUSED) || !time.Now().Before(deadline) {
+			return conn, err
+		}
+		time.Sleep(restartGrace / 10)
+	}
+}
+
 func (c *Client) dropConn(id types.ProcID, cc *clientConn) {
 	_ = cc.conn.Close()
 	c.mu.Lock()
 	if c.conns[id] == cc {
 		delete(c.conns, id)
+		c.lost[id] = time.Now()
 	}
 	c.mu.Unlock()
 }

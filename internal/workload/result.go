@@ -2,11 +2,11 @@ package workload
 
 import (
 	"errors"
-	"math"
 	"sort"
 	"time"
 
 	"luckystore/internal/checker"
+	"luckystore/internal/metrics"
 )
 
 // Result summarizes one traffic run's recorded history: operation and
@@ -54,24 +54,11 @@ type LatencySummary struct {
 	P999 time.Duration `json:"p999_ns"`
 }
 
-// summarizeLatency computes percentiles over a sample set; it sorts
-// its argument in place.
+// summarizeLatency computes nearest-rank percentiles over a sample set;
+// it sorts its argument in place.
 func summarizeLatency(samples []time.Duration) LatencySummary {
-	if len(samples) == 0 {
-		return LatencySummary{}
-	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	at := func(q float64) time.Duration {
-		// Nearest-rank: the smallest sample ≥ q of the distribution.
-		i := int(math.Ceil(q*float64(len(samples)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(samples) {
-			i = len(samples) - 1
-		}
-		return samples[i]
-	}
+	at := func(q float64) time.Duration { return metrics.NearestRank(samples, q) }
 	return LatencySummary{P50: at(0.50), P95: at(0.95), P99: at(0.99), P999: at(0.999)}
 }
 

@@ -33,7 +33,6 @@ import (
 	"luckystore/internal/simnet"
 	"luckystore/internal/storage"
 	"luckystore/internal/tcpnet"
-	"luckystore/internal/transport"
 	"luckystore/internal/twophase"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -656,20 +655,8 @@ func benchMWStores(b *testing.B, writers int, tcp bool) []*kv.Store {
 	}
 	stores := make([]*kv.Store, writers)
 	for k := 0; k < writers; k++ {
-		wid := types.WriterIDN(k)
-		wep, err := tcpnet.Dial(wid, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := k * cfg.NumReaders
-		reps := make([]transport.Endpoint, cfg.NumReaders)
-		for i := range reps {
-			if reps[i], err = tcpnet.Dial(types.ReaderID(base+i), m); err != nil {
-				b.Fatal(err)
-			}
-		}
-		st, err := kv.OpenWithEndpoints(cfg, wep, reps,
-			kv.WithWriterID(wid), kv.WithReaderBase(base))
+		st, err := luckystore.OpenKVTCP(cfg, m,
+			kv.WithWriterID(types.WriterIDN(k)), kv.WithReaderBase(k*cfg.NumReaders))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -763,17 +750,7 @@ func benchRouterCluster(b *testing.B, cfg core.Config, tcp bool) *kv.Store {
 		b.Cleanup(func() { _ = srv.Close() })
 		m[types.ServerID(i)] = srv.Addr()
 	}
-	wep, err := tcpnet.Dial(types.WriterID(), m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reps := make([]transport.Endpoint, cfg.NumReaders)
-	for i := range reps {
-		if reps[i], err = tcpnet.Dial(types.ReaderID(i), m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st, err := kv.OpenWithEndpoints(cfg, wep, reps)
+	st, err := luckystore.OpenKVTCP(cfg, m)
 	if err != nil {
 		b.Fatal(err)
 	}

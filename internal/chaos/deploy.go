@@ -1,10 +1,12 @@
 package chaos
 
 // Deployment adapters: one fault surface over every way this repo can
-// run the protocol. Each adapter embeds the matching workload driver —
-// so the engine generates identical traffic everywhere — and exposes
-// crash / restart / Byzantine-swap hooks plus (when the deployment is
-// simulated) the simnet for network faults.
+// run the protocol. There are two: single (one cluster: core, kv,
+// regular, tcpkv) and fleet (clusters behind a router: router,
+// tcprouter). Each embeds the matching workload driver — so the engine
+// generates identical traffic everywhere — and exposes the same
+// per-cluster crash / restart / Byzantine-swap surface (faults) plus,
+// when the deployment is simulated, the simnet for network faults.
 
 import (
 	"fmt"
@@ -12,6 +14,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"luckystore"
 	"luckystore/internal/checker"
 	"luckystore/internal/core"
 	"luckystore/internal/fault"
@@ -23,7 +26,6 @@ import (
 	"luckystore/internal/simnet"
 	"luckystore/internal/storage"
 	"luckystore/internal/tcpnet"
-	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/workload"
 )
@@ -84,24 +86,6 @@ func simFaultProvider(factory func() storage.Automaton) *storage.FaultProvider {
 	return storage.NewFaultProvider(storage.NewMemProvider(factory))
 }
 
-// healDisk clears any armed or fired fault on server i's wrapper
-// before a restart recovers from the backend — the restarted process
-// got a working disk back; what survives on it is recovery's problem.
-func healDisk(fp *storage.FaultProvider, i int) {
-	if f := fp.Fault(serverName(i)); f != nil {
-		f.Heal()
-	}
-}
-
-// armDisk arms kind on server i's fault wrapper.
-func armDisk(fp *storage.FaultProvider, i int, kind string) error {
-	f := fp.Fault(serverName(i))
-	if f == nil {
-		return fmt.Errorf("chaos: server %d has no storage backend", i)
-	}
-	return f.Arm(kind)
-}
-
 // Rebalancer is the optional Deployment capability behind the fleet
 // actions (ActJoinCluster, ActRemoveCluster): scale-out router
 // deployments implement it; single-cluster deployments skip fleet
@@ -155,63 +139,135 @@ func behaviorFor(name string, seed int64, keyed bool) (node.Automaton, error) {
 	return b, nil
 }
 
-// ---- core single-register cluster (simnet) ----
+// ---- one cluster's fault surface ----
 
-type coreDep struct {
-	workload.ClusterDriver
-	c  *core.Cluster
-	fp *storage.FaultProvider
+// servers is the restartable server set of one cluster: core.Cluster,
+// regular.Cluster, kv.Store and tcpCluster, each a set of
+// storage.Server lifecycles underneath.
+type servers interface {
+	CrashServer(i int)
+	RestartServer(i int) error
+	RestartServerFresh(i int) error
+	SwapServerAutomaton(i int, a node.Automaton) error
 }
 
-// NewCore builds a core single-register simnet deployment. Servers
-// write through injectable in-memory backends, so warm restarts are
-// genuine WAL replays and schedules can arm disk faults.
+// faults is the fault surface of one cluster, the same for every
+// deployment: single-cluster deployments embed it, and both router
+// fleets apply it to every active cluster.
+type faults struct {
+	srv   servers
+	keyed bool                   // Byzantine behaviors speak the keyed protocol
+	disks *storage.FaultProvider // the servers' injectable backends
+}
+
+func (f faults) Crash(i int) error { f.srv.CrashServer(i); return nil }
+
+func (f faults) Restart(i int, fresh bool) error {
+	if fresh {
+		return f.srv.RestartServerFresh(i)
+	}
+	return f.srv.RestartServer(i)
+}
+
+// Swap installs a fresh behavior automaton (behaviors are stateful, so
+// no two servers share one).
+func (f faults) Swap(i int, behavior string, seed int64) error {
+	a, err := behaviorFor(behavior, seed, f.keyed)
+	if err != nil {
+		return err
+	}
+	return f.srv.SwapServerAutomaton(i, a)
+}
+
+// DiskFault arms kind on server i's backend; the restart that follows
+// heals it (simnet) or reopens it (TCP) before recovering.
+func (f faults) DiskFault(i int, kind string) error {
+	fl := f.disks.Fault(serverName(i))
+	if fl == nil {
+		return fmt.Errorf("chaos: server %d has no storage backend", i)
+	}
+	return fl.Arm(kind)
+}
+
+// adoptContenders opens writer identities 1..writers-1 with open and
+// adopts each into st, so st exposes the writer-identity map fleet
+// routers need (kv.Store.PutAs) and closes them with itself. On error
+// it closes st.
+func adoptContenders(st *kv.Store, writers int, open func(k int) (*kv.Store, error)) ([]*kv.Store, error) {
+	var cs []*kv.Store
+	for k := 1; k < writers; k++ {
+		ct, err := open(k)
+		if err == nil {
+			if err = st.AdoptContender(ct); err != nil {
+				ct.Close()
+			}
+		}
+		if err != nil {
+			st.Close()
+			return nil, err
+		}
+		cs = append(cs, ct)
+	}
+	return cs, nil
+}
+
+// ---- single-cluster deployments: core, kv, regular, tcpkv ----
+
+// single is a one-cluster deployment. core, kv and regular run on the
+// in-process network, with servers writing through injectable memory
+// backends, so warm restarts are genuine WAL replays; tcpkv runs on
+// loopback TCP with file WALs. The kinds differ only in their driver,
+// whether Byzantine behaviors are keyed, and which checker runs.
+type single struct {
+	workload.Driver
+	faults
+	kind    string
+	s, t, b int
+	net     *simnet.Network // nil over TCP
+	check   func([]checker.Op) []checker.Violation
+	close   func()
+}
+
+func (d *single) Kind() string         { return d.kind }
+func (d *single) Servers() int         { return d.s }
+func (d *single) Budget() (int, int)   { return d.t, d.b }
+func (d *single) Net() *simnet.Network { return d.net }
+
+// ColdRestarts is false everywhere: memory standing in for a disk on
+// simnet, and the file WAL a real process restart recovers from on TCP.
+func (d *single) ColdRestarts() bool { return false }
+
+func (d *single) Check(ops []checker.Op) []checker.Violation { return d.check(ops) }
+func (d *single) Close()                                     { d.close() }
+
+// NumWriters implements workload.MultiWriter; a single-writer driver
+// reports 1, which the engine clamps multi-writer scenarios to.
+func (d *single) NumWriters() int {
+	if mw, ok := d.Driver.(workload.MultiWriter); ok {
+		return mw.NumWriters()
+	}
+	return 1
+}
+
+// WriteAs implements workload.MultiWriter.
+func (d *single) WriteAs(w int, key string, v types.Value) (types.Tagged, workload.OpMeta, error) {
+	mw, ok := d.Driver.(workload.MultiWriter)
+	if !ok {
+		return types.Tagged{}, workload.OpMeta{}, workload.ErrMWUnsupported
+	}
+	return mw.WriteAs(w, key, v)
+}
+
+// NewCore builds a core single-register simnet deployment.
 func NewCore(cfg core.Config) (Deployment, error) {
 	fp := simFaultProvider(func() storage.Automaton { return core.NewServer() })
 	c, err := core.NewCluster(cfg, core.WithStorage(fp))
 	if err != nil {
 		return nil, err
 	}
-	return &coreDep{ClusterDriver: workload.ClusterDriver{C: c}, c: c, fp: fp}, nil
-}
-
-func (d *coreDep) Kind() string         { return "core" }
-func (d *coreDep) Servers() int         { return d.c.Config().S() }
-func (d *coreDep) Budget() (int, int)   { return d.c.Config().T, d.c.Config().B }
-func (d *coreDep) Net() *simnet.Network { return d.c.Sim() }
-func (d *coreDep) Crash(i int) error    { d.c.CrashServer(i); return nil }
-func (d *coreDep) ColdRestarts() bool   { return false }
-func (d *coreDep) Close()               { d.c.Close() }
-
-func (d *coreDep) Restart(i int, fresh bool) error {
-	healDisk(d.fp, i)
-	if fresh {
-		return d.c.RestartServerFresh(i)
-	}
-	return d.c.RestartServer(i)
-}
-
-func (d *coreDep) DiskFault(i int, kind string) error { return armDisk(d.fp, i, kind) }
-
-func (d *coreDep) Swap(i int, behavior string, seed int64) error {
-	a, err := behaviorFor(behavior, seed, false)
-	if err != nil {
-		return err
-	}
-	return d.c.SwapServerAutomaton(i, a)
-}
-
-func (d *coreDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckAtomicityPerKey(ops)
-}
-
-// ---- sharded KV engine (simnet) ----
-
-type kvDep struct {
-	workload.KVDriver
-	st         *kv.Store
-	contenders []*kv.Store
-	fp         *storage.FaultProvider
+	return &single{Driver: workload.ClusterDriver{C: c}, faults: faults{srv: c, disks: fp},
+		kind: "core", s: cfg.S(), t: cfg.T, b: cfg.B, net: c.Sim(),
+		check: checker.CheckAtomicityPerKey, close: c.Close}, nil
 }
 
 // NewKV builds an in-memory sharded KV deployment. writers > 1 opens
@@ -223,83 +279,42 @@ func NewKV(cfg core.Config, writers int, opts ...kv.Option) (Deployment, error) 
 		opts = append(opts, kv.WithContenders(writers-1))
 	}
 	fp := simFaultProvider(kv.NewStorageAutomaton)
-	opts = append(opts, kv.WithStorage(fp))
-	st, err := kv.Open(cfg, opts...)
+	st, err := kv.Open(cfg, append(opts, kv.WithStorage(fp))...)
 	if err != nil {
 		return nil, err
 	}
-	d := &kvDep{st: st, fp: fp}
-	for k := 1; k < writers; k++ {
-		ct, err := st.OpenContender(k)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.contenders = append(d.contenders, ct)
-	}
-	d.KVDriver = workload.KVDriver{S: st, Readers: cfg.NumReaders, Contenders: d.contenders}
-	return d, nil
-}
-
-func (d *kvDep) Kind() string         { return "kv" }
-func (d *kvDep) Servers() int         { return d.st.Config().S() }
-func (d *kvDep) Budget() (int, int)   { return d.st.Config().T, d.st.Config().B }
-func (d *kvDep) Net() *simnet.Network { return d.st.Sim() }
-func (d *kvDep) Crash(i int) error    { d.st.CrashServer(i); return nil }
-func (d *kvDep) ColdRestarts() bool   { return false }
-
-func (d *kvDep) Close() {
-	for _, ct := range d.contenders {
-		ct.Close()
-	}
-	d.st.Close()
-}
-
-func (d *kvDep) Restart(i int, fresh bool) error {
-	healDisk(d.fp, i)
-	if fresh {
-		return d.st.RestartServerFresh(i)
-	}
-	return d.st.RestartServer(i)
-}
-
-func (d *kvDep) DiskFault(i int, kind string) error { return armDisk(d.fp, i, kind) }
-
-func (d *kvDep) Swap(i int, behavior string, seed int64) error {
-	a, err := behaviorFor(behavior, seed, true)
+	cs, err := adoptContenders(st, writers, st.OpenContender)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return d.st.SwapServerAutomaton(i, a)
+	return &single{Driver: workload.KVDriver{S: st, Readers: cfg.NumReaders, Contenders: cs},
+		faults: faults{srv: st, keyed: true, disks: fp},
+		kind:   "kv", s: cfg.S(), t: cfg.T, b: cfg.B, net: st.Sim(),
+		check: checker.CheckAtomicityPerKey, close: st.Close}, nil
 }
 
-func (d *kvDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckAtomicityPerKey(ops)
+// NewRegular builds a regular-variant simnet deployment. Its histories
+// are checked for regularity: the variant deliberately gives up the
+// read hierarchy.
+func NewRegular(cfg regular.Config) (Deployment, error) {
+	fp := simFaultProvider(func() storage.Automaton { return core.NewRegularServer() })
+	c, err := regular.NewDurableCluster(cfg, fp)
+	if err != nil {
+		return nil, err
+	}
+	return &single{Driver: workload.RegularDriver{C: c}, faults: faults{srv: c, disks: fp},
+		kind: "regular", s: cfg.S(), t: cfg.T, b: cfg.B, net: c.Sim(),
+		check: checker.CheckRegularityPerKey, close: c.Close}, nil
 }
 
-// ---- KV over loopback TCP ----
-
-type tcpkvDep struct {
-	workload.KVDriver
-	cfg        core.Config
-	shards     int
-	dir        string // temp data root, one subdirectory per server
-	prov       *storage.FaultProvider
-	srvs       []*tcpnet.Server
-	backs      []storage.Backend
-	addrs      []string
-	st         *kv.Store
-	contenders []*kv.Store
-}
-
-// NewTCPKV starts S ListenTCPKV-style servers on loopback and a KV
-// client store dialed to them — the real-deployment shape, where
-// crashes and restarts are actual listener teardowns and rebinds.
-// Every server writes through a real file WAL in a per-run temp
-// directory, so a restart reopens the directory (running the genuine
-// fsck/torn-tail path) and recovers the pre-crash state. writers > 1
-// dials additional client stores under contending writer identities
-// (and disjoint reader identities), all against the same listeners.
+// NewTCPKV starts S sharded KV servers on loopback and a KV client
+// store dialed to them — the real-deployment shape, where crashes and
+// restarts are actual listener teardowns and rebinds. Every server
+// writes through a real file WAL in a per-run temp directory, so a
+// restart reopens the directory (running the genuine fsck/torn-tail
+// path) and recovers the pre-crash state. writers > 1 dials additional
+// client stores under contending writer identities (and disjoint
+// reader identities), all against the same listeners.
 func NewTCPKV(cfg core.Config, shards, writers int) (Deployment, error) {
 	if writers > 1 && cfg.Writers < writers {
 		cfg.Writers = writers
@@ -311,548 +326,132 @@ func NewTCPKV(cfg core.Config, shards, writers int) (Deployment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos tcpkv: data dir: %w", err)
 	}
-	d := &tcpkvDep{cfg: cfg, shards: shards, dir: dir,
-		prov:  storage.NewFaultProvider(storage.NewDirProvider(dir, kv.NewStorageAutomaton)),
-		backs: make([]storage.Backend, cfg.S()),
-	}
-	fail := func(err error) (Deployment, error) {
-		d.Close()
+	c, err := startTCPCluster(cfg, shards, writers, dir)
+	if err != nil {
+		_ = os.RemoveAll(dir)
 		return nil, err
 	}
-	addrMap := make(map[types.ProcID]string, cfg.S())
-	for i := 0; i < cfg.S(); i++ {
-		srv, back, err := listenDurableKV(d.prov, i, "127.0.0.1:0", shards)
-		if err != nil {
-			return fail(err)
+	return &single{Driver: workload.KVDriver{S: c.st, Readers: cfg.NumReaders, Contenders: c.contenders},
+		faults: faults{srv: c, keyed: true, disks: c.prov},
+		kind:   "tcpkv", s: cfg.S(), t: cfg.T, b: cfg.B,
+		check: checker.CheckAtomicityPerKey,
+		close: func() {
+			c.st.Close()
+			_ = c.servers.Close()
+			_ = os.RemoveAll(dir)
+		}}, nil
+}
+
+// tcpCluster is S sharded KV servers on loopback TCP, each writing a
+// file WAL under its own subdirectory, plus the client store dialed to
+// them with its contenders adopted. A crash closes the listener and
+// releases the WAL's file handles; a restart rebinds the address and
+// reopens the directory.
+type tcpCluster struct {
+	servers    storage.Servers
+	prov       *storage.FaultProvider
+	st         *kv.Store
+	contenders []*kv.Store
+}
+
+func startTCPCluster(cfg core.Config, shards, writers int, dir string) (*tcpCluster, error) {
+	c := &tcpCluster{prov: storage.NewFaultProvider(storage.NewDirProvider(dir, kv.NewStorageAutomaton))}
+	binds := make([]*tcpnet.Binding, cfg.S())
+	var err error
+	c.servers, err = storage.StartServers(cfg.S(), func(i int) storage.ServerConfig {
+		binds[i] = &tcpnet.Binding{Addr: "127.0.0.1:0"}
+		return storage.ServerConfig{
+			ID:       types.ServerID(i),
+			New:      func() node.Automaton { return kv.NewShardedServerAutomaton(shards) },
+			Driver:   binds[i],
+			Provider: c.prov,
+			Reopen:   true,
 		}
-		d.srvs = append(d.srvs, srv)
-		d.backs[i] = back
-		d.addrs = append(d.addrs, srv.Addr())
-		addrMap[types.ServerID(i)] = srv.Addr()
-	}
-	st, err := dialStore(cfg, addrMap, 0)
-	if err != nil {
-		return fail(err)
-	}
-	d.st = st
-	for k := 1; k < writers; k++ {
-		ct, err := dialStore(cfg, addrMap, k)
-		if err != nil {
-			return fail(err)
-		}
-		d.contenders = append(d.contenders, ct)
-	}
-	d.KVDriver = workload.KVDriver{S: st, Readers: cfg.NumReaders, Contenders: d.contenders}
-	return d, nil
-}
-
-// dialStore dials one client store as writer identity k: writer
-// endpoint w (k=0) or wK, reader endpoints offset by k·NumReaders —
-// contending clients must not share reader ids (servers key the
-// freezing machinery by reader process id).
-func dialStore(cfg core.Config, addrMap map[types.ProcID]string, k int) (*kv.Store, error) {
-	wid := types.WriterIDN(k)
-	wep, err := tcpnet.Dial(wid, addrMap)
-	if err != nil {
-		return nil, err
-	}
-	base := k * cfg.NumReaders
-	readerEPs := make([]transport.Endpoint, cfg.NumReaders)
-	for i := range readerEPs {
-		rep, err := tcpnet.Dial(types.ReaderID(base+i), addrMap)
-		if err != nil {
-			_ = wep.Close()
-			for j := 0; j < i; j++ {
-				_ = readerEPs[j].Close()
-			}
-			return nil, err
-		}
-		readerEPs[i] = rep
-	}
-	return kv.OpenWithEndpoints(cfg, wep, readerEPs,
-		kv.WithWriterID(wid), kv.WithReaderBase(base))
-}
-
-// listenKV starts one sharded KV server over TCP with in-memory state
-// only (Byzantine swaps and non-durable callers).
-func listenKV(i int, addr string, shards int) (*tcpnet.Server, error) {
-	srv := kv.NewShardedServerAutomaton(shards)
-	return tcpnet.ListenSharded(types.ServerID(i), addr, srv.Shards(), srv.Route())
-}
-
-// listenDurableKV starts one sharded KV server over TCP whose shards
-// write through a backend opened from prov: recovery replays whatever
-// the backend holds (reopening a data directory runs the real
-// torn-tail fsck), then every shard shares the backend's group-commit.
-func listenDurableKV(prov storage.Provider, i int, addr string, shards int) (*tcpnet.Server, storage.Backend, error) {
-	back, err := prov.Open(serverName(i))
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := kv.NewShardedServerAutomaton(shards)
-	if _, err := storage.Recover(back, srv); err != nil {
-		_ = back.Close()
-		return nil, nil, err
-	}
-	sh := srv.Shards()
-	for j, a := range sh {
-		sh[j] = storage.NewDurable(a, back, types.ServerID(i))
-	}
-	s, err := tcpnet.ListenSharded(types.ServerID(i), addr, sh, srv.Route())
-	if err != nil {
-		_ = back.Close()
-		return nil, nil, err
-	}
-	return s, back, nil
-}
-
-func (d *tcpkvDep) Kind() string         { return "tcpkv" }
-func (d *tcpkvDep) Servers() int         { return d.cfg.S() }
-func (d *tcpkvDep) Budget() (int, int)   { return d.cfg.T, d.cfg.B }
-func (d *tcpkvDep) Net() *simnet.Network { return nil }
-
-// ColdRestarts is false: the file WAL is the stable storage a real
-// process restart recovers from, so warm restarts are honest here.
-func (d *tcpkvDep) ColdRestarts() bool { return false }
-
-func (d *tcpkvDep) Crash(i int) error {
-	if i < 0 || i >= len(d.srvs) {
-		return fmt.Errorf("chaos tcpkv: server %d out of range", i)
-	}
-	err := d.srvs[i].Close()
-	d.closeBack(i) // the process died; its file handles went with it
-	return err
-}
-
-// closeBack releases server i's backend handle, ignoring errors — a
-// faulted disk fails its final flush by design, and the reopen path
-// recovers whatever made it to the medium.
-func (d *tcpkvDep) closeBack(i int) {
-	if d.backs[i] != nil {
-		_ = d.backs[i].Close()
-		d.backs[i] = nil
-	}
-}
-
-// rebind re-listens on a crashed server's old address, retrying
-// briefly while the kernel releases the port.
-func (d *tcpkvDep) rebind(i int, listen func(addr string) (*tcpnet.Server, error)) error {
-	if i < 0 || i >= len(d.srvs) {
-		return fmt.Errorf("chaos tcpkv: server %d out of range", i)
-	}
-	return rebindListener(d.srvs, d.addrs, i, listen)
-}
-
-// rebindListener closes slot i's listener (a restart implies the old
-// process is gone) and re-listens on its old address, retrying briefly
-// while the kernel releases the port.
-func rebindListener(srvs []*tcpnet.Server, addrs []string, i int, listen func(addr string) (*tcpnet.Server, error)) error {
-	_ = srvs[i].Close()
-	var lastErr error
-	for attempt := 0; attempt < 100; attempt++ {
-		srv, err := listen(addrs[i])
-		if err == nil {
-			srvs[i] = srv
-			return nil
-		}
-		lastErr = err
-		time.Sleep(10 * time.Millisecond)
-	}
-	return fmt.Errorf("chaos: rebind %s: %w", addrs[i], lastErr)
-}
-
-func (d *tcpkvDep) Restart(i int, fresh bool) error {
-	if i < 0 || i >= len(d.srvs) {
-		return fmt.Errorf("chaos tcpkv: server %d out of range", i)
-	}
-	d.closeBack(i)
-	if fresh {
-		// Amnesiac restart: the disk burned down with the process.
-		if err := os.RemoveAll(filepath.Join(d.dir, serverName(i))); err != nil {
-			return fmt.Errorf("chaos tcpkv: wipe server %d: %w", i, err)
-		}
-	}
-	// Reopening the data directory IS the recovery path: fsck truncates
-	// any torn tail a disk fault left, then the WAL replays into a
-	// fresh keyed server.
-	return d.rebind(i, func(addr string) (*tcpnet.Server, error) {
-		srv, back, err := listenDurableKV(d.prov, i, addr, d.shards)
-		if err != nil {
-			return nil, err
-		}
-		d.backs[i] = back
-		return srv, nil
 	})
-}
-
-func (d *tcpkvDep) Swap(i int, behavior string, seed int64) error {
-	a, err := behaviorFor(behavior, seed, true)
-	if err != nil {
-		return err
-	}
-	d.closeBack(i) // the Byzantine automaton runs without storage
-	return d.rebind(i, func(addr string) (*tcpnet.Server, error) {
-		return tcpnet.Listen(types.ServerID(i), addr, a)
-	})
-}
-
-func (d *tcpkvDep) DiskFault(i int, kind string) error { return armDisk(d.prov, i, kind) }
-
-func (d *tcpkvDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckAtomicityPerKey(ops)
-}
-
-func (d *tcpkvDep) Close() {
-	for _, ct := range d.contenders {
-		ct.Close()
-	}
-	if d.st != nil {
-		d.st.Close()
-	}
-	for _, s := range d.srvs {
-		if s != nil {
-			_ = s.Close()
-		}
-	}
-	for i := range d.backs {
-		d.closeBack(i)
-	}
-	if d.dir != "" {
-		_ = os.RemoveAll(d.dir)
-	}
-}
-
-// ---- Appendix D regular variant (simnet) ----
-
-type regularDep struct {
-	workload.RegularDriver
-	c  *regular.Cluster
-	fp *storage.FaultProvider
-}
-
-// NewRegular builds a regular-variant simnet deployment. Its histories
-// are checked for regularity: the variant deliberately gives up the
-// read hierarchy. Servers write through injectable in-memory backends
-// like the core deployment.
-func NewRegular(cfg regular.Config) (Deployment, error) {
-	fp := simFaultProvider(func() storage.Automaton { return core.NewRegularServer() })
-	c, err := regular.NewDurableCluster(cfg, fp)
 	if err != nil {
 		return nil, err
 	}
-	return &regularDep{RegularDriver: workload.RegularDriver{C: c}, c: c, fp: fp}, nil
-}
-
-func (d *regularDep) Kind() string         { return "regular" }
-func (d *regularDep) Servers() int         { return d.c.Config().S() }
-func (d *regularDep) Budget() (int, int)   { return d.c.Config().T, d.c.Config().B }
-func (d *regularDep) Net() *simnet.Network { return d.c.Sim() }
-func (d *regularDep) Crash(i int) error    { d.c.CrashServer(i); return nil }
-func (d *regularDep) ColdRestarts() bool   { return false }
-func (d *regularDep) Close()               { d.c.Close() }
-
-func (d *regularDep) Restart(i int, fresh bool) error {
-	healDisk(d.fp, i)
-	if fresh {
-		return d.c.RestartServerFresh(i)
+	addrs := make([]string, len(binds))
+	for i, b := range binds {
+		addrs[i] = b.Addr
 	}
-	return d.c.RestartServer(i)
-}
-
-func (d *regularDep) DiskFault(i int, kind string) error { return armDisk(d.fp, i, kind) }
-
-func (d *regularDep) Swap(i int, behavior string, seed int64) error {
-	a, err := behaviorFor(behavior, seed, false)
+	dial := func(k int) (*kv.Store, error) {
+		return luckystore.OpenKVTCP(cfg, luckystore.ServerAddrs(addrs),
+			kv.WithWriterID(types.WriterIDN(k)), kv.WithReaderBase(k*cfg.NumReaders))
+	}
+	if c.st, err = dial(0); err == nil {
+		c.contenders, err = adoptContenders(c.st, writers, dial)
+	}
 	if err != nil {
-		return err
+		_ = c.servers.Close()
+		return nil, err
 	}
-	return d.c.SwapServerAutomaton(i, a)
+	return c, nil
 }
 
-func (d *regularDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckRegularityPerKey(ops)
-}
+func (c *tcpCluster) CrashServer(i int)                                 { c.servers[i].Crash() }
+func (c *tcpCluster) RestartServer(i int) error                         { return c.servers.Restart(i, false) }
+func (c *tcpCluster) RestartServerFresh(i int) error                    { return c.servers.Restart(i, true) }
+func (c *tcpCluster) SwapServerAutomaton(i int, a node.Automaton) error { return c.servers.Swap(i, a) }
 
-// ---- consistent-hash router fleet (simnet clusters) ----
+// ---- consistent-hash router fleets: router, tcprouter ----
 
 // routerSeed fixes the ring seed for chaos fleets: placement must be a
 // pure function of the schedule seed alone, and the schedule already
 // owns all randomness, so the ring gets a constant.
 const routerSeed = 1
 
-type routerDep struct {
+// member is one cluster of a fleet: its client store (the router owns
+// and closes it), its fault surface, and the teardown of servers the
+// store does not own (nil on simnet, where the store owns them).
+type member struct {
+	st       *kv.Store
+	faults   faults
+	teardown func()
+}
+
+// fleet is a scale-out deployment: clusters behind one consistent-hash
+// router. Server faults hit server i of every active cluster — "rack i"
+// in fleet terms — so the per-cluster failure budget (t, b) is
+// stressed everywhere at once while staying within the model. writers
+// > 1 opens that many writer identities on every cluster (joined ones
+// included), so fleets carry contending multi-writer traffic.
+type fleet struct {
 	workload.RouterDriver
+	kind    string
 	cfg     core.Config
-	writers int
+	open    func(id ring.ClusterID) (member, error)
 	r       *router.Router
-	stores  map[ring.ClusterID]*kv.Store // active clusters only
+	active  map[ring.ClusterID]member
+	members []member // every cluster ever opened: retired TCP listeners stay up for lazy handoffs
 	nextID  int
+	dir     string // TCP data root, removed at Close
 }
 
-// openSimCluster opens one simnet KV cluster for a router fleet:
-// in-memory storage backends, and — when writers > 1 — that many
-// writer identities, with every contender store adopted into the
-// primary so the cluster exposes the router's writer-identity map
-// (kv.Store.PutAs). The primary owns the contenders; closing it closes
-// them.
-func openSimCluster(cfg core.Config, writers int) (*kv.Store, error) {
-	opts := []kv.Option{kv.WithStorage(storage.NewMemProvider(kv.NewStorageAutomaton))}
-	if writers > 1 {
-		opts = append(opts, kv.WithContenders(writers-1))
-	}
-	st, err := kv.Open(cfg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	for k := 1; k < writers; k++ {
-		ct, err := st.OpenContender(k)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		if err := st.AdoptContender(ct); err != nil {
-			ct.Close()
-			st.Close()
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-// NewRouter builds a scale-out fleet of n simnet KV clusters behind
-// one router. Server faults hit server i of every active cluster —
-// "rack i" in fleet terms — so the per-cluster failure budget (t, b)
-// is stressed everywhere at once while staying within the model. Each
-// cluster's servers write through in-memory storage backends, so a
-// warm restart is a genuine WAL replay. writers > 1 opens that many
-// writer identities on every cluster (including ones that join later),
-// so fleet deployments carry contending multi-writer traffic.
+// NewRouter builds a fleet of n simnet KV clusters. Each cluster's
+// servers write through in-memory storage backends, so a warm restart
+// is a genuine WAL replay.
 func NewRouter(cfg core.Config, n, writers int) (Deployment, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("chaos router: need at least one cluster")
-	}
-	d := &routerDep{cfg: cfg, writers: writers, stores: make(map[ring.ClusterID]*kv.Store, n)}
-	backends := make(map[ring.ClusterID]router.Backend, n)
-	for ; d.nextID < n; d.nextID++ {
-		st, err := openSimCluster(cfg, writers)
+	return newFleet("router", cfg, n, "", func(ring.ClusterID) (member, error) {
+		opts := []kv.Option{kv.WithStorage(storage.NewMemProvider(kv.NewStorageAutomaton))}
+		if writers > 1 {
+			opts = append(opts, kv.WithContenders(writers-1))
+		}
+		st, err := kv.Open(cfg, opts...)
 		if err != nil {
-			for _, prev := range d.stores {
-				prev.Close()
-			}
-			return nil, err
+			return member{}, err
 		}
-		id := ring.ID(d.nextID)
-		d.stores[id] = st
-		backends[id] = st
-	}
-	r, err := router.New(router.Options{Seed: routerSeed, Readers: cfg.NumReaders}, backends)
-	if err != nil {
-		for _, prev := range d.stores {
-			prev.Close()
+		if _, err := adoptContenders(st, writers, st.OpenContender); err != nil {
+			return member{}, err
 		}
-		return nil, err
-	}
-	d.r = r
-	d.RouterDriver = workload.RouterDriver{R: r}
-	return d, nil
+		return member{st: st, faults: faults{srv: st, keyed: true}}, nil
+	})
 }
 
-func (d *routerDep) Kind() string       { return "router" }
-func (d *routerDep) Servers() int       { return d.cfg.S() }
-func (d *routerDep) Budget() (int, int) { return d.cfg.T, d.cfg.B }
-
-// Net returns nil: each cluster runs its own simnet, and the engine's
-// network actions script one network. Fleet runs exercise placement,
-// coalescing and rebalancing; single-cluster runs own the partition
-// scenarios.
-func (d *routerDep) Net() *simnet.Network { return nil }
-func (d *routerDep) ColdRestarts() bool   { return false }
-
-func (d *routerDep) Crash(i int) error {
-	for _, st := range d.stores {
-		st.CrashServer(i)
-	}
-	return nil
-}
-
-func (d *routerDep) Restart(i int, fresh bool) error {
-	for id, st := range d.stores {
-		var err error
-		if fresh {
-			err = st.RestartServerFresh(i)
-		} else {
-			err = st.RestartServer(i)
-		}
-		if err != nil {
-			return fmt.Errorf("cluster %s: %w", id, err)
-		}
-	}
-	return nil
-}
-
-func (d *routerDep) Swap(i int, behavior string, seed int64) error {
-	for id, st := range d.stores {
-		// One fresh automaton per cluster: behaviors are stateful.
-		a, err := behaviorFor(behavior, seed, true)
-		if err != nil {
-			return err
-		}
-		if err := st.SwapServerAutomaton(i, a); err != nil {
-			return fmt.Errorf("cluster %s: %w", id, err)
-		}
-	}
-	return nil
-}
-
-func (d *routerDep) JoinCluster() error {
-	st, err := openSimCluster(d.cfg, d.writers)
-	if err != nil {
-		return err
-	}
-	id := ring.ID(d.nextID)
-	if err := d.r.AddCluster(id, st); err != nil {
-		st.Close()
-		return err
-	}
-	d.nextID++
-	d.stores[id] = st
-	return nil
-}
-
-func (d *routerDep) RemoveCluster(i int) error {
-	active := d.r.Clusters()
-	if len(active) == 0 {
-		return fmt.Errorf("chaos router: no active clusters")
-	}
-	id := active[i%len(active)]
-	if err := d.r.RemoveCluster(id); err != nil {
-		return err
-	}
-	// The store stays open (and router-owned) for lazy handoffs; it is
-	// just no longer a fault target.
-	delete(d.stores, id)
-	return nil
-}
-
-func (d *routerDep) NumClusters() int { return len(d.r.Clusters()) }
-
-func (d *routerDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckAtomicityPerKey(ops)
-}
-
-func (d *routerDep) Close() { _ = d.r.Close() }
-
-// ---- consistent-hash router fleet (loopback-TCP clusters) ----
-
-// tcpCluster is one TCP-KV cluster of a router fleet: its listeners,
-// their file-backed storage, and the client store dialed to them.
-type tcpCluster struct {
-	prov  *storage.FaultProvider
-	srvs  []*tcpnet.Server
-	backs []storage.Backend
-	addrs []string
-	st    *kv.Store
-}
-
-func (c *tcpCluster) closeServers() {
-	for _, s := range c.srvs {
-		if s != nil {
-			_ = s.Close()
-		}
-	}
-	for i := range c.backs {
-		c.closeBack(i)
-	}
-}
-
-func (c *tcpCluster) closeBack(i int) {
-	if c.backs[i] != nil {
-		_ = c.backs[i].Close()
-		c.backs[i] = nil
-	}
-}
-
-// startTCPCluster starts S sharded KV listeners with file WALs under
-// dir and dials a store. writers > 1 dials that many client stores
-// under contending writer identities (disjoint reader identities, same
-// listeners) and adopts each into the primary, so the cluster exposes
-// the writer-identity map fleet routers need (kv.Store.PutAs).
-func startTCPCluster(cfg core.Config, shards, writers int, dir string) (*tcpCluster, error) {
-	c := &tcpCluster{
-		prov:  storage.NewFaultProvider(storage.NewDirProvider(dir, kv.NewStorageAutomaton)),
-		backs: make([]storage.Backend, cfg.S()),
-	}
-	addrMap := make(map[types.ProcID]string, cfg.S())
-	for i := 0; i < cfg.S(); i++ {
-		srv, back, err := listenDurableKV(c.prov, i, "127.0.0.1:0", shards)
-		if err != nil {
-			c.closeServers()
-			return nil, err
-		}
-		c.srvs = append(c.srvs, srv)
-		c.backs[i] = back
-		c.addrs = append(c.addrs, srv.Addr())
-		addrMap[types.ServerID(i)] = srv.Addr()
-	}
-	wep, err := tcpnet.Dial(types.WriterID(), addrMap)
-	if err != nil {
-		c.closeServers()
-		return nil, err
-	}
-	readerEPs := make([]transport.Endpoint, cfg.NumReaders)
-	for i := range readerEPs {
-		rep, err := tcpnet.Dial(types.ReaderID(i), addrMap)
-		if err != nil {
-			_ = wep.Close()
-			for j := 0; j < i; j++ {
-				_ = readerEPs[j].Close()
-			}
-			c.closeServers()
-			return nil, err
-		}
-		readerEPs[i] = rep
-	}
-	st, err := kv.OpenWithEndpoints(cfg, wep, readerEPs)
-	if err != nil {
-		c.closeServers()
-		return nil, err
-	}
-	c.st = st
-	for k := 1; k < writers; k++ {
-		ct, err := dialStore(cfg, addrMap, k)
-		if err != nil {
-			st.Close() // closes any contenders adopted so far
-			c.closeServers()
-			return nil, err
-		}
-		if err := st.AdoptContender(ct); err != nil {
-			ct.Close()
-			st.Close()
-			c.closeServers()
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-type tcprouterDep struct {
-	workload.RouterDriver
-	cfg      core.Config
-	shards   int
-	writers  int
-	dir      string // temp data root, one subdirectory per cluster
-	r        *router.Router
-	clusters map[ring.ClusterID]*tcpCluster // active clusters only
-	retired  []*tcpCluster                  // listeners kept up for lazy handoffs
-	nextID   int
-}
-
-// NewTCPRouter builds a scale-out fleet of n loopback-TCP KV clusters
-// behind one router: the real-deployment shape of a fleet, where every
-// cluster is S sockets, a crash is a listener teardown, and every
-// server keeps a file WAL so restarts recover from disk. writers > 1
-// dials that many contending writer identities per cluster (joined
-// clusters included), so the fleet carries multi-writer traffic.
+// NewTCPRouter builds a fleet of n loopback-TCP KV clusters: the
+// real-deployment shape of a fleet, where every cluster is S sockets, a
+// crash is a listener teardown, and every server keeps a file WAL so
+// restarts recover from disk.
 func NewTCPRouter(cfg core.Config, shards, n, writers int) (Deployment, error) {
 	if writers > 1 && cfg.Writers < writers {
 		cfg.Writers = writers
@@ -860,153 +459,130 @@ func NewTCPRouter(cfg core.Config, shards, n, writers int) (Deployment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("chaos tcprouter: need at least one cluster")
-	}
 	dir, err := os.MkdirTemp("", "luckychaos-tcprouter-")
 	if err != nil {
 		return nil, fmt.Errorf("chaos tcprouter: data dir: %w", err)
 	}
-	d := &tcprouterDep{cfg: cfg, shards: shards, writers: writers, dir: dir, clusters: make(map[ring.ClusterID]*tcpCluster, n)}
-	backends := make(map[ring.ClusterID]router.Backend, n)
-	fail := func(err error) (Deployment, error) {
-		for _, c := range d.clusters {
-			c.st.Close()
-			c.closeServers()
+	return newFleet("tcprouter", cfg, n, dir, func(id ring.ClusterID) (member, error) {
+		c, err := startTCPCluster(cfg, shards, writers, filepath.Join(dir, string(id)))
+		if err != nil {
+			return member{}, err
 		}
-		_ = os.RemoveAll(dir)
-		return nil, err
+		return member{st: c.st, faults: faults{srv: c, keyed: true, disks: c.prov},
+			teardown: func() { _ = c.servers.Close() }}, nil
+	})
+}
+
+func newFleet(kind string, cfg core.Config, n int, dir string, open func(ring.ClusterID) (member, error)) (Deployment, error) {
+	d := &fleet{kind: kind, cfg: cfg, open: open, dir: dir, active: make(map[ring.ClusterID]member, n)}
+	if n < 1 {
+		d.Close()
+		return nil, fmt.Errorf("chaos %s: need at least one cluster", kind)
 	}
+	backends := make(map[ring.ClusterID]router.Backend, n)
 	for ; d.nextID < n; d.nextID++ {
 		id := ring.ID(d.nextID)
-		c, err := startTCPCluster(cfg, shards, writers, d.clusterDir(id))
+		m, err := d.open(id)
 		if err != nil {
-			return fail(err)
+			d.Close()
+			return nil, err
 		}
-		d.clusters[id] = c
-		backends[id] = c.st
+		d.members = append(d.members, m)
+		d.active[id] = m
+		backends[id] = m.st
 	}
 	r, err := router.New(router.Options{Seed: routerSeed, Readers: cfg.NumReaders}, backends)
 	if err != nil {
-		return fail(err)
+		d.Close()
+		return nil, err
 	}
 	d.r = r
 	d.RouterDriver = workload.RouterDriver{R: r}
 	return d, nil
 }
 
-// clusterDir is the data root of one cluster.
-func (d *tcprouterDep) clusterDir(id ring.ClusterID) string {
-	return filepath.Join(d.dir, string(id))
+func (d *fleet) Kind() string       { return d.kind }
+func (d *fleet) Servers() int       { return d.cfg.S() }
+func (d *fleet) Budget() (int, int) { return d.cfg.T, d.cfg.B }
+
+// Net returns nil: each cluster runs its own network, and the engine's
+// network actions script one network. Fleet runs exercise placement,
+// coalescing and rebalancing; single-cluster runs own the partition
+// scenarios.
+func (d *fleet) Net() *simnet.Network { return nil }
+func (d *fleet) ColdRestarts() bool   { return false }
+
+func (d *fleet) Crash(i int) error {
+	return d.each(func(f faults) error { return f.Crash(i) })
 }
 
-func (d *tcprouterDep) Kind() string         { return "tcprouter" }
-func (d *tcprouterDep) Servers() int         { return d.cfg.S() }
-func (d *tcprouterDep) Budget() (int, int)   { return d.cfg.T, d.cfg.B }
-func (d *tcprouterDep) Net() *simnet.Network { return nil }
-
-// ColdRestarts is false: every server recovers from its file WAL.
-func (d *tcprouterDep) ColdRestarts() bool { return false }
-
-func (d *tcprouterDep) Crash(i int) error {
-	for id, c := range d.clusters {
-		if i < 0 || i >= len(c.srvs) {
-			return fmt.Errorf("chaos tcprouter: server %d out of range", i)
-		}
-		if err := c.srvs[i].Close(); err != nil {
-			return fmt.Errorf("cluster %s: %w", id, err)
-		}
-		c.closeBack(i)
-	}
-	return nil
+func (d *fleet) Restart(i int, fresh bool) error {
+	return d.each(func(f faults) error { return f.Restart(i, fresh) })
 }
 
-func (d *tcprouterDep) Restart(i int, fresh bool) error {
-	for id, c := range d.clusters {
-		c.closeBack(i)
-		if fresh {
-			if err := os.RemoveAll(filepath.Join(d.clusterDir(id), serverName(i))); err != nil {
-				return fmt.Errorf("cluster %s: wipe server %d: %w", id, i, err)
-			}
-		}
-		err := rebindListener(c.srvs, c.addrs, i, func(addr string) (*tcpnet.Server, error) {
-			srv, back, err := listenDurableKV(c.prov, i, addr, d.shards)
-			if err != nil {
-				return nil, err
-			}
-			c.backs[i] = back
-			return srv, nil
-		})
-		if err != nil {
+func (d *fleet) Swap(i int, behavior string, seed int64) error {
+	return d.each(func(f faults) error { return f.Swap(i, behavior, seed) })
+}
+
+// each applies one cluster fault to every active cluster.
+func (d *fleet) each(fault func(faults) error) error {
+	for id, m := range d.active {
+		if err := fault(m.faults); err != nil {
 			return fmt.Errorf("cluster %s: %w", id, err)
 		}
 	}
 	return nil
 }
 
-func (d *tcprouterDep) Swap(i int, behavior string, seed int64) error {
-	for id, c := range d.clusters {
-		a, err := behaviorFor(behavior, seed, true)
-		if err != nil {
-			return err
-		}
-		c.closeBack(i) // the Byzantine automaton runs without storage
-		err = rebindListener(c.srvs, c.addrs, i, func(addr string) (*tcpnet.Server, error) {
-			return tcpnet.Listen(types.ServerID(i), addr, a)
-		})
-		if err != nil {
-			return fmt.Errorf("cluster %s: %w", id, err)
-		}
-	}
-	return nil
-}
-
-func (d *tcprouterDep) JoinCluster() error {
+func (d *fleet) JoinCluster() error {
 	id := ring.ID(d.nextID)
-	c, err := startTCPCluster(d.cfg, d.shards, d.writers, d.clusterDir(id))
+	m, err := d.open(id)
 	if err != nil {
 		return err
 	}
-	if err := d.r.AddCluster(id, c.st); err != nil {
-		c.st.Close()
-		c.closeServers()
+	d.members = append(d.members, m)
+	if err := d.r.AddCluster(id, m.st); err != nil {
+		m.st.Close()
 		return err
 	}
 	d.nextID++
-	d.clusters[id] = c
+	d.active[id] = m
 	return nil
 }
 
-func (d *tcprouterDep) RemoveCluster(i int) error {
+func (d *fleet) RemoveCluster(i int) error {
 	active := d.r.Clusters()
 	if len(active) == 0 {
-		return fmt.Errorf("chaos tcprouter: no active clusters")
+		return fmt.Errorf("chaos %s: no active clusters", d.kind)
 	}
 	id := active[i%len(active)]
 	if err := d.r.RemoveCluster(id); err != nil {
 		return err
 	}
-	// Listeners stay up: lazily-migrated keys still read their pair out
-	// of the retired cluster through the router-owned client store.
-	c := d.clusters[id]
-	delete(d.clusters, id)
-	d.retired = append(d.retired, c)
+	// The store stays open (router-owned) and its servers up: lazily
+	// migrated keys still read their pair out of the retired cluster.
+	delete(d.active, id)
 	return nil
 }
 
-func (d *tcprouterDep) NumClusters() int { return len(d.r.Clusters()) }
+func (d *fleet) NumClusters() int { return len(d.r.Clusters()) }
 
-func (d *tcprouterDep) Check(ops []checker.Op) []checker.Violation {
+func (d *fleet) Check(ops []checker.Op) []checker.Violation {
 	return checker.CheckAtomicityPerKey(ops)
 }
 
-func (d *tcprouterDep) Close() {
-	_ = d.r.Close() // closes every client store, active and retired
-	for _, c := range d.clusters {
-		c.closeServers()
+func (d *fleet) Close() {
+	if d.r != nil {
+		_ = d.r.Close() // closes every client store, active and retired
+	} else {
+		for _, m := range d.members {
+			m.st.Close()
+		}
 	}
-	for _, c := range d.retired {
-		c.closeServers()
+	for _, m := range d.members {
+		if m.teardown != nil {
+			m.teardown()
+		}
 	}
 	if d.dir != "" {
 		_ = os.RemoveAll(d.dir)

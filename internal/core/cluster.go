@@ -12,19 +12,15 @@ import (
 
 // Cluster wires S server automata, WritersN() writers and NumReaders
 // readers over a network, owning every goroutine it starts. It is the
-// unit the examples, tests and experiments operate on.
+// unit the examples, tests and experiments operate on. Each server is a
+// storage.Server, which owns its crash/restart lifecycle.
 type Cluster struct {
 	cfg     Config
 	net     transport.Network
 	sim     *simnet.Network // non-nil when the cluster built its own simnet
-	factory func() node.Automaton
-	runners []*node.Runner
-	servers []node.Automaton // inner automata, for state inspection
+	servers storage.Servers
 	writers []*Writer
 	readers []*Reader
-
-	store    storage.Provider
-	backends []storage.Backend // per server; nil when not durable
 }
 
 // ClusterOption configures a Cluster.
@@ -34,7 +30,6 @@ type clusterOpts struct {
 	net       transport.Network
 	sim       *simnet.Network
 	automata  map[int]node.Automaton
-	regular   bool
 	dontStart map[int]bool
 	store     storage.Provider
 }
@@ -58,15 +53,9 @@ func WithServerAutomaton(i int, a node.Automaton) ClusterOption {
 }
 
 // WithCrashedServer starts the cluster with server i already crashed
-// (its runner never starts): an initially crash-faulty server.
+// (it never starts stepping): an initially crash-faulty server.
 func WithCrashedServer(i int) ClusterOption {
 	return func(o *clusterOpts) { o.dontStart[i] = true }
-}
-
-// WithRegularServers installs Appendix D regular-variant servers
-// (readers' write-backs ignored) instead of the default atomic ones.
-func WithRegularServers() ClusterOption {
-	return func(o *clusterOpts) { o.regular = true }
 }
 
 // WithStorage gives every server a durable backend from the provider
@@ -99,12 +88,7 @@ func NewCluster(cfg Config, opts ...ClusterOption) (*Cluster, error) {
 	ids = append(ids, types.WriterIDs(cfg.WritersN())...)
 	ids = append(ids, types.ReaderIDs(cfg.NumReaders)...)
 
-	c := &Cluster{cfg: cfg, store: o.store}
-	if o.regular {
-		c.factory = func() node.Automaton { return NewRegularServer() }
-	} else {
-		c.factory = func() node.Automaton { return NewServer() }
-	}
+	c := &Cluster{cfg: cfg}
 	if o.net != nil {
 		c.net, c.sim = o.net, o.sim
 	} else {
@@ -116,32 +100,30 @@ func NewCluster(cfg Config, opts ...ClusterOption) (*Cluster, error) {
 	}
 
 	for i := 0; i < cfg.S(); i++ {
-		ep, err := c.net.Endpoint(types.ServerID(i))
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("cluster server %d: %w", i, err)
+		sc := storage.ServerConfig{
+			ID:       types.ServerID(i),
+			New:      func() node.Automaton { return NewServer() },
+			Driver:   node.NetDriver{Net: c.net},
+			Provider: o.store,
 		}
 		a := o.automata[i]
-		substituted := a != nil
-		if a == nil {
-			a = c.factory()
+		if a != nil {
+			sc.Provider = nil
 		}
-		run := a
-		var back storage.Backend
-		if c.store != nil && !substituted {
-			back, err = c.openAndRecover(i, a)
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("cluster server %d storage: %w", i, err)
+		srv, err := storage.NewServer(sc)
+		if err == nil {
+			c.servers = append(c.servers, srv)
+			switch {
+			case o.dontStart[i]:
+			case a != nil:
+				err = srv.Swap(a) // runs a in place of the correct server, without storage
+			default:
+				err = srv.Start()
 			}
-			run = storage.NewDurable(a, back, types.ServerID(i))
 		}
-		r := node.NewRunner(ep, run)
-		c.servers = append(c.servers, a)
-		c.backends = append(c.backends, back)
-		c.runners = append(c.runners, r)
-		if !o.dontStart[i] {
-			r.Start()
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
 	}
 
@@ -166,25 +148,9 @@ func NewCluster(cfg Config, opts ...ClusterOption) (*Cluster, error) {
 	return c, nil
 }
 
-// openAndRecover opens server i's backend and replays whatever it
-// already holds into a — on a fresh provider that is nothing; on a
-// reopened data directory it is the pre-crash state.
-func (c *Cluster) openAndRecover(i int, a node.Automaton) (storage.Backend, error) {
-	back, err := c.store.Open(string(types.ServerID(i)))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := storage.Recover(back, a); err != nil {
-		back.Close()
-		return nil, err
-	}
-	return back, nil
-}
-
 // ServerBackend returns server i's storage backend, nil when the
 // cluster runs without WithStorage (or the automaton was substituted).
-// Chaos deployments use it to arm injected disk faults.
-func (c *Cluster) ServerBackend(i int) storage.Backend { return c.backends[i] }
+func (c *Cluster) ServerBackend(i int) storage.Backend { return c.servers[i].Backend() }
 
 // Config returns the cluster's configuration.
 func (c *Cluster) Config() Config { return c.cfg }
@@ -208,101 +174,41 @@ func (c *Cluster) Sim() *simnet.Network { return c.sim }
 
 // ServerAutomaton returns the automaton of server i (for state
 // assertions in tests; a *Server unless substituted).
-func (c *Cluster) ServerAutomaton(i int) node.Automaton { return c.servers[i] }
+func (c *Cluster) ServerAutomaton(i int) node.Automaton { return c.servers[i].Automaton() }
 
 // CrashServer crash-stops server i. It is idempotent.
-func (c *Cluster) CrashServer(i int) { c.runners[i].Crash() }
+func (c *Cluster) CrashServer(i int) { c.servers[i].Crash() }
 
 // CrashServerAfterSteps schedules server i to crash after n more
 // processed messages.
-func (c *Cluster) CrashServerAfterSteps(i, n int) { c.runners[i].CrashAfterSteps(n) }
+func (c *Cluster) CrashServerAfterSteps(i, n int) { c.servers[i].CrashAfterSteps(n) }
 
-// RestartServer restarts server i's message pump after a crash — the
+// RestartServer restarts server i (storage.Server.Restart): the
 // crash-recovery-with-stable-storage transition, so the restarted
-// server is merely slow, not faulty, in the model's terms. What
-// "stable storage" means depends on how the cluster was built: with a
-// WithStorage backend, a fresh automaton is rebuilt by replaying the
-// server's WAL (the in-memory state died with the crash, exactly as a
-// real process death would lose it); without one — the default — the
-// automaton object is simply kept across the restart, which models
-// stable storage only for in-process crashes. Messages sent while the
-// server was down that are still queued in its inbox are processed
-// after the restart (they were "in transit").
+// server is merely slow, not faulty, in the model's terms. With a
+// WithStorage backend the automaton is rebuilt by replaying the
+// server's WAL; without one the last correct automaton is kept.
 //
 // Restart methods are for use by one coordinating goroutine (a test or
 // a chaos schedule); they do not synchronize with each other.
-func (c *Cluster) RestartServer(i int) error {
-	if i < 0 || i >= len(c.servers) {
-		return fmt.Errorf("cluster restart: server %d out of range [0,%d)", i, len(c.servers))
-	}
-	if c.backends[i] == nil {
-		return c.restart(i, c.servers[i], c.servers[i])
-	}
-	a := c.factory()
-	if _, err := storage.Recover(c.backends[i], a); err != nil {
-		return fmt.Errorf("cluster restart server %d: %w", i, err)
-	}
-	return c.restart(i, a, storage.NewDurable(a, c.backends[i], types.ServerID(i)))
-}
+func (c *Cluster) RestartServer(i int) error { return c.servers.Restart(i, false) }
 
 // RestartServerFresh restarts server i with a brand-new automaton AND
-// a wiped backend: a crash-recovery with NO stable storage — the only
-// amnesiac path. An amnesiac server answers protocol-correctly from
-// initial state, which the model can only classify as Byzantine —
-// schedules must count fresh-restarted servers against b.
-func (c *Cluster) RestartServerFresh(i int) error {
-	if i < 0 || i >= len(c.servers) {
-		return fmt.Errorf("cluster restart: server %d out of range [0,%d)", i, len(c.servers))
-	}
-	a := c.factory()
-	if c.backends[i] == nil {
-		return c.restart(i, a, a)
-	}
-	if err := c.backends[i].Wipe(); err != nil {
-		return fmt.Errorf("cluster fresh-restart server %d: %w", i, err)
-	}
-	return c.restart(i, a, storage.NewDurable(a, c.backends[i], types.ServerID(i)))
-}
+// a wiped backend (storage.Server.RestartFresh): the only amnesiac
+// path, which schedules must count against b.
+func (c *Cluster) RestartServerFresh(i int) error { return c.servers.Restart(i, true) }
 
 // SwapServerAutomaton crash-stops server i and brings it back running
-// the given automaton — the hook chaos schedules use to turn a correct
-// server Byzantine (an internal/fault behavior) mid-run. The swapped-in
-// automaton runs without storage; the server's backend is left intact,
-// so a later RestartServer recovers the last correct durable state.
-func (c *Cluster) SwapServerAutomaton(i int, a node.Automaton) error { return c.restart(i, a, a) }
+// the given automaton without storage (storage.Server.Swap) — the hook
+// chaos schedules use to turn a correct server Byzantine mid-run.
+func (c *Cluster) SwapServerAutomaton(i int, a node.Automaton) error { return c.servers.Swap(i, a) }
 
-// restart replaces server i's runner: inner is what tests inspect via
-// ServerAutomaton, run is what the runner actually steps (a Durable
-// wrapper around inner when the server is disk-backed).
-func (c *Cluster) restart(i int, inner, run node.Automaton) error {
-	if i < 0 || i >= len(c.runners) {
-		return fmt.Errorf("cluster restart: server %d out of range [0,%d)", i, len(c.runners))
-	}
-	c.runners[i].Crash() // idempotent; joins the old pump
-	ep, err := c.net.Endpoint(types.ServerID(i))
-	if err != nil {
-		return fmt.Errorf("cluster restart server %d: %w", i, err)
-	}
-	r := node.NewRunner(ep, run)
-	c.servers[i] = inner
-	c.runners[i] = r
-	r.Start()
-	return nil
-}
-
-// Close stops every server runner and shuts the network down, joining
-// all goroutines the cluster started, then closes the storage
-// backends (flushing anything pending).
+// Close stops every server and shuts the network down, joining all
+// goroutines the cluster started, then closes the storage backends
+// (flushing anything pending).
 func (c *Cluster) Close() {
 	if c.net != nil {
 		_ = c.net.Close() // closing endpoints unblocks every runner
 	}
-	for _, r := range c.runners {
-		r.Stop()
-	}
-	for _, b := range c.backends {
-		if b != nil {
-			_ = b.Close()
-		}
-	}
+	_ = c.servers.Close()
 }

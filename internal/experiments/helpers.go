@@ -7,6 +7,7 @@ import (
 	"luckystore/internal/core"
 	"luckystore/internal/node"
 	"luckystore/internal/simnet"
+	"luckystore/internal/storage"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -26,7 +27,7 @@ const expOpTimeout = 5 * time.Second
 // deployments.
 type manualCluster struct {
 	sim     *simnet.Network
-	runners []*node.Runner
+	servers storage.Servers
 	nSrv    int
 }
 
@@ -41,15 +42,16 @@ func newManualCluster(automata []node.Automaton, nReaders int) (*manualCluster, 
 		return nil, err
 	}
 	mc := &manualCluster{sim: sim, nSrv: n}
-	for i, a := range automata {
-		ep, err := sim.Endpoint(types.ServerID(i))
-		if err != nil {
-			mc.Close()
-			return nil, err
+	mc.servers, err = storage.StartServers(n, func(i int) storage.ServerConfig {
+		return storage.ServerConfig{
+			ID:     types.ServerID(i),
+			New:    func() node.Automaton { return automata[i] },
+			Driver: node.NetDriver{Net: sim},
 		}
-		r := node.NewRunner(ep, a)
-		mc.runners = append(mc.runners, r)
-		r.Start()
+	})
+	if err != nil {
+		mc.Close()
+		return nil, err
 	}
 	return mc, nil
 }
@@ -58,13 +60,11 @@ func (mc *manualCluster) endpoint(id types.ProcID) (transport.Endpoint, error) {
 	return mc.sim.Endpoint(id)
 }
 
-func (mc *manualCluster) crash(i int) { mc.runners[i].Crash() }
+func (mc *manualCluster) crash(i int) { mc.servers[i].Crash() }
 
 func (mc *manualCluster) Close() {
 	_ = mc.sim.Close()
-	for _, r := range mc.runners {
-		r.Stop()
-	}
+	_ = mc.servers.Close()
 }
 
 // coreServers returns n fresh core.Server automata.

@@ -13,8 +13,8 @@
 // composite 〈seq, writer〉 stamps and the writers' stamp-query round.
 //
 // The engine is sharded and pipelined: every server runs its per-key
-// automata across a pool of shard workers (node.NewShardedRunner over
-// keyed.ShardedServer), so no global lock serializes independent keys,
+// automata across a pool of shard workers (a storage.Server stepping
+// keyed.ShardedServer's shards), so no global lock serializes independent keys,
 // and client endpoints coalesce concurrent outbound messages into
 // wire.Batch frames. Blocking Put/Get stay the simple interface;
 // PutAsync/GetAsync/PutBatch/GetBatch expose the pipeline directly.
@@ -148,19 +148,12 @@ type Store struct {
 	shards     int
 	net        transport.Network
 	sim        *simnet.Network
-	contenders int                    // contender identities pre-registered at Open
-	writerID   types.ProcID           // identity this store's writers bind stamps under
-	readerBase int                    // local reader idx speaks as ReaderID(readerBase+idx)
-	runners    []*node.Runner         // per-server pumps (sharded, or one shard after a swap)
-	srvs       []*keyed.ShardedServer // per-server keyed state, retained for warm restarts
+	contenders int             // contender identities pre-registered at Open
+	writerID   types.ProcID    // identity this store's writers bind stamps under
+	readerBase int             // local reader idx speaks as ReaderID(readerBase+idx)
+	servers    storage.Servers // nil when the servers are managed externally
 
-	store    storage.Provider
-	backends []storage.Backend // per server; nil when not durable
-
-	met       *StoreMetrics       // nil when uninstrumented
-	srvMet    *core.ServerMetrics // shared by every server automaton
-	durMet    *storage.DurableMetrics
-	runnersMu sync.RWMutex // guards runners[i] replacement vs gauge reads
+	met *StoreMetrics // nil when uninstrumented
 
 	writerDemux  *keyed.Demux
 	readerDemuxs []*keyed.Demux
@@ -221,8 +214,10 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	var sm *core.ServerMetrics
 	if o.metrics != nil {
 		cfg.Metrics = core.NewMetrics(o.metrics)
+		sm = core.NewServerMetrics(o.metrics)
 	}
 	st := &Store{
 		cfg:        cfg,
@@ -232,45 +227,29 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 		contenders: o.contenders,
 		writerID:   types.WriterID(),
 		readers:    make([]sync.Map, cfg.NumReaders),
-		store:      o.store,
 	}
 	if o.metrics != nil {
 		st.met = newStoreMetrics(o.metrics)
-		st.srvMet = core.NewServerMetrics(o.metrics)
-		st.durMet = storage.NewDurableMetrics(o.metrics)
 	}
-	for i := 0; i < cfg.S(); i++ {
-		ep, err := sim.Endpoint(types.ServerID(i))
-		if err != nil {
-			st.Close()
-			return nil, err
+	st.servers, err = storage.StartServers(cfg.S(), func(i int) storage.ServerConfig {
+		return storage.ServerConfig{
+			ID:       types.ServerID(i),
+			New:      func() node.Automaton { return NewShardedServerAutomatonInstrumented(o.shards, sm) },
+			Driver:   node.NetDriver{Net: sim},
+			Provider: o.store,
+			Metrics:  o.metrics,
 		}
-		srv := st.newServer()
-		var back storage.Backend
-		if st.store != nil {
-			back, err = st.openAndRecover(i, srv)
-			if err != nil {
-				st.Close()
-				return nil, fmt.Errorf("kv server %d storage: %w", i, err)
-			}
-		}
-		r := node.NewShardedRunner(ep, st.durableShards(srv, back, i), srv.Route())
-		st.srvs = append(st.srvs, srv)
-		st.backends = append(st.backends, back)
-		st.runners = append(st.runners, r)
-		r.Start()
+	})
+	if err != nil {
+		st.Close()
+		return nil, fmt.Errorf("kv: %w", err)
 	}
 	if st.met != nil {
-		for i := range st.runners {
-			idx := i
+		for i, srv := range st.servers {
 			st.met.reg.GaugeFunc("lucky_kv_server_queue_depth",
 				"Envelopes queued on a server's shard workers, not yet stepped.",
-				func() int64 {
-					st.runnersMu.RLock()
-					r := st.runners[idx]
-					st.runnersMu.RUnlock()
-					return int64(r.QueueLen())
-				}, metrics.L("server", string(types.ServerID(idx))))
+				func() int64 { return int64(srv.QueueLen()) },
+				metrics.L("server", string(types.ServerID(i))))
 		}
 	}
 	wep, err := sim.Endpoint(types.WriterID())
@@ -290,18 +269,6 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 	return st, nil
 }
 
-// newServer builds one sharded keyed server whose per-register
-// automata share the store's server metrics (nil when uninstrumented —
-// the hooks are no-ops).
-func (s *Store) newServer() *keyed.ShardedServer {
-	sm := s.srvMet
-	return keyed.NewShardedServer(s.shards, func() node.Automaton {
-		srv := core.NewServer()
-		srv.SetMetrics(sm)
-		return srv
-	})
-}
-
 // newCoalescer wraps ep in a send-side coalescer, instrumented under
 // the given role label when the store carries metrics.
 func (s *Store) newCoalescer(ep transport.Endpoint, role string) *transport.Coalescer {
@@ -318,10 +285,7 @@ func (s *Store) newCoalescer(ep transport.Endpoint, role string) *transport.Coal
 // per-register core automata split across n shards, routed by key.
 // Values below 1 mean DefaultShards.
 func NewShardedServerAutomaton(n int) *keyed.ShardedServer {
-	if n < 1 {
-		n = DefaultShards()
-	}
-	return keyed.NewShardedServer(n, func() node.Automaton { return core.NewServer() })
+	return NewShardedServerAutomatonInstrumented(n, nil)
 }
 
 // NewShardedServerAutomatonInstrumented is NewShardedServerAutomaton
@@ -337,18 +301,6 @@ func NewShardedServerAutomatonInstrumented(n int, sm *core.ServerMetrics) *keyed
 		srv.SetMetrics(sm)
 		return srv
 	})
-}
-
-// MetricsRegistry extracts the registry carried by a WithMetrics option
-// in opts, nil if none. Transport assemblers (luckystore.OpenKVTCP)
-// use it to instrument the endpoints they dial before handing them to
-// OpenWithEndpoints.
-func MetricsRegistry(opts ...Option) *metrics.Registry {
-	var o openOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o.metrics
 }
 
 // NewStorageAutomaton returns the automaton storage backends rebuild
@@ -403,6 +355,50 @@ func OpenWithEndpoints(cfg core.Config, writerEP transport.Endpoint, readerEPs [
 	st.writerDemux = keyed.NewDemux(st.newCoalescer(writerEP, "writer"))
 	for _, rep := range readerEPs {
 		st.readerDemuxs = append(st.readerDemuxs, keyed.NewDemux(st.newCoalescer(rep, "reader")))
+	}
+	return st, nil
+}
+
+// OpenDialed builds a client-side store over endpoints from dial: one
+// for the store's writer identity (WithWriterID) and one per reader,
+// from WithReaderBase on, so the endpoints speak under exactly the ids
+// the store binds. dial also gets the endpoint's role ("writer" or
+// "reader") and the WithMetrics registry (nil without it), for
+// instrumenting the endpoint. On error every endpoint dialed so far is
+// closed.
+func OpenDialed(cfg core.Config, dial func(id types.ProcID, role string, reg *metrics.Registry) (transport.Endpoint, error), opts ...Option) (*Store, error) {
+	var o openOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.writerID == "" {
+		o.writerID = types.WriterID()
+	}
+	ids := []types.ProcID{o.writerID}
+	for i := 0; i < cfg.NumReaders; i++ {
+		ids = append(ids, types.ReaderID(o.readerBase+i))
+	}
+	eps := make([]transport.Endpoint, 0, len(ids))
+	fail := func(err error) (*Store, error) {
+		for _, ep := range eps {
+			_ = ep.Close()
+		}
+		return nil, err
+	}
+	for i, id := range ids {
+		role := "reader"
+		if i == 0 {
+			role = "writer"
+		}
+		ep, err := dial(id, role, o.metrics)
+		if err != nil {
+			return fail(err)
+		}
+		eps = append(eps, ep)
+	}
+	st, err := OpenWithEndpoints(cfg, eps[0], eps[1:], opts...)
+	if err != nil {
+		return fail(err)
 	}
 	return st, nil
 }
@@ -749,141 +745,38 @@ func (s *Store) GetBatch(idx int, keys []string) (map[string]types.Tagged, error
 
 // CrashServer crash-stops server i (all registers and shards on it at
 // once — machines fail, not registers).
-func (s *Store) CrashServer(i int) { s.runners[i].Crash() }
+func (s *Store) CrashServer(i int) { s.servers[i].Crash() }
 
 // RestartServer restarts server i after a crash — crash-recovery with
-// stable storage, so the server is merely slow, not faulty, in the
-// model's terms. With a WithStorage backend a fresh keyed server is
-// rebuilt by replaying the server's WAL (the in-memory state died with
-// the process); without one the server object is simply kept, which
-// models stable storage only for in-process crashes. Only valid on a
-// store that owns its servers (Open); stores over external endpoints
-// return an error.
+// stable storage (storage.Server.Restart), so the server is merely
+// slow, not faulty, in the model's terms. With a WithStorage backend a
+// fresh keyed server is rebuilt by replaying the server's WAL (the
+// in-memory state died with the process); without one the server
+// object is simply kept, which models stable storage only for
+// in-process crashes. Only valid on a store that owns its servers
+// (Open); stores over external endpoints return an error.
 //
 // Restart methods are for use by one coordinating goroutine (a chaos
 // schedule); they do not synchronize with each other.
-func (s *Store) RestartServer(i int) error {
-	srv, err := s.serverFor(i)
-	if err != nil {
-		return err
-	}
-	back := s.backends[i]
-	if back != nil {
-		srv = s.newServer()
-		if _, err := storage.Recover(back, srv); err != nil {
-			return fmt.Errorf("kv restart server %d: %w", i, err)
-		}
-		s.srvs[i] = srv
-	}
-	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
-		return node.NewShardedRunner(ep, s.durableShards(srv, back, i), srv.Route())
-	})
-}
+func (s *Store) RestartServer(i int) error { return s.servers.Restart(i, false) }
 
 // RestartServerFresh restarts server i with empty register state AND a
 // wiped backend — a crash-recovery with NO stable storage, the only
 // amnesiac path. An amnesiac server answers protocol-correctly from
 // initial state, which the model can only classify as Byzantine;
 // schedules must count fresh restarts against b.
-func (s *Store) RestartServerFresh(i int) error {
-	if _, err := s.serverFor(i); err != nil {
-		return err
-	}
-	back := s.backends[i]
-	if back != nil {
-		if err := back.Wipe(); err != nil {
-			return fmt.Errorf("kv fresh-restart server %d: %w", i, err)
-		}
-	}
-	srv := s.newServer()
-	s.srvs[i] = srv
-	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
-		return node.NewShardedRunner(ep, s.durableShards(srv, back, i), srv.Route())
-	})
-}
+func (s *Store) RestartServerFresh(i int) error { return s.servers.Restart(i, true) }
 
 // SwapServerAutomaton crash-stops server i and brings it back running
-// the given automaton on a one-shard runner — the hook chaos
-// schedules use to turn a server Byzantine mid-run. For KV traffic the
-// automaton should understand wire.Keyed (see fault.Keyed).
-func (s *Store) SwapServerAutomaton(i int, a node.Automaton) error {
-	if _, err := s.serverFor(i); err != nil {
-		return err
-	}
-	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
-		return node.NewRunner(ep, a)
-	})
-}
-
-// openAndRecover opens server i's backend and replays whatever it
-// already holds into srv — nothing on a fresh provider, the pre-crash
-// keyed state on a reopened data directory. Replay routes through
-// ShardedServer.Step before the shard workers start, so no locking.
-func (s *Store) openAndRecover(i int, srv *keyed.ShardedServer) (storage.Backend, error) {
-	back, err := s.store.Open(string(types.ServerID(i)))
-	if err != nil {
-		return nil, err
-	}
-	if s.met != nil {
-		// Instrument the backend when it supports it (the file backend,
-		// possibly under a fault wrapper that forwards the method).
-		if fb, ok := back.(interface{ SetMetrics(*storage.FileMetrics) }); ok {
-			fb.SetMetrics(storage.NewFileMetrics(s.met.reg))
-		}
-	}
-	if _, err := storage.Recover(back, srv); err != nil {
-		back.Close()
-		return nil, err
-	}
-	return back, nil
-}
-
-// durableShards returns the automata the shard workers step: the bare
-// shards when back is nil, or each shard wrapped in a storage.Durable
-// sharing the server's one backend — their records land in a single
-// ordered log and their commits share group fsyncs.
-func (s *Store) durableShards(srv *keyed.ShardedServer, back storage.Backend, i int) []node.Automaton {
-	shards := srv.Shards()
-	if back == nil {
-		return shards
-	}
-	out := make([]node.Automaton, len(shards))
-	for j, sh := range shards {
-		d := storage.NewDurable(sh, back, types.ServerID(i))
-		d.SetMetrics(s.durMet)
-		out[j] = d
-	}
-	return out
-}
+// the given automaton on one worker — the hook chaos schedules use to
+// turn a server Byzantine mid-run. For KV traffic the automaton should
+// understand wire.Keyed (see fault.Keyed). Like the restarts, it errors
+// on a store over external endpoints, which owns no servers.
+func (s *Store) SwapServerAutomaton(i int, a node.Automaton) error { return s.servers.Swap(i, a) }
 
 // ServerBackend returns server i's storage backend, nil when the store
-// runs without WithStorage. Chaos deployments use it to arm injected
-// disk faults.
-func (s *Store) ServerBackend(i int) storage.Backend { return s.backends[i] }
-
-func (s *Store) serverFor(i int) (*keyed.ShardedServer, error) {
-	if s.sim == nil {
-		return nil, fmt.Errorf("kv: store does not own its servers")
-	}
-	if i < 0 || i >= len(s.runners) {
-		return nil, fmt.Errorf("kv: server %d out of range [0,%d)", i, len(s.runners))
-	}
-	return s.srvs[i], nil
-}
-
-func (s *Store) restart(i int, build func(transport.Endpoint) *node.Runner) error {
-	s.runners[i].Crash() // idempotent; joins the old pump
-	ep, err := s.sim.Endpoint(types.ServerID(i))
-	if err != nil {
-		return fmt.Errorf("kv restart server %d: %w", i, err)
-	}
-	r := build(ep)
-	s.runnersMu.Lock()
-	s.runners[i] = r
-	s.runnersMu.Unlock()
-	r.Start()
-	return nil
-}
+// runs without WithStorage.
+func (s *Store) ServerBackend(i int) storage.Backend { return s.servers[i].Backend() }
 
 // Sim returns the underlying simulated network.
 func (s *Store) Sim() *simnet.Network { return s.sim }
@@ -906,14 +799,7 @@ func (s *Store) Close() {
 		if s.net != nil {
 			_ = s.net.Close()
 		}
-		for _, r := range s.runners {
-			r.Stop()
-		}
-		for _, b := range s.backends {
-			if b != nil {
-				_ = b.Close()
-			}
-		}
+		_ = s.servers.Close()
 		for _, c := range s.adopted {
 			c.Close()
 		}

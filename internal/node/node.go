@@ -117,13 +117,9 @@ func (r *Runner) Crash() {
 	<-r.done
 }
 
-// CrashAfterSteps schedules a crash after n further automaton steps,
-// counted across all shards: the process handles exactly n more
-// messages and then stops — used to script failures "in the middle" of
-// an operation.
-func (r *Runner) CrashAfterSteps(n int) {
-	r.pool.crashAfter.Store(r.pool.steps.Load() + int64(n))
-}
+// CrashAfterSteps schedules a crash after n further automaton steps
+// (StepPool.CrashAfterSteps).
+func (r *Runner) CrashAfterSteps(n int) { r.pool.CrashAfterSteps(n) }
 
 // Steps reports the number of messages processed so far across all
 // shards.
@@ -138,6 +134,22 @@ func (r *Runner) QueueLen() int {
 		n += r.pool.QueueLen(i)
 	}
 	return n
+}
+
+// NetDriver starts processes as Runners on a network's endpoints: the
+// in-process driver of storage.Server (tcpnet.Binding is the TCP one).
+type NetDriver struct{ Net transport.Network }
+
+// Start runs the shards on the endpoint of process id and returns the
+// pool stepping them plus the runner's Crash.
+func (d NetDriver) Start(id types.ProcID, shards []Automaton, route func(wire.Message) int) (*StepPool, func(), error) {
+	ep, err := d.Net.Endpoint(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := NewShardedRunner(ep, shards, route)
+	r.Start()
+	return r.pool, r.Crash, nil
 }
 
 // Stop is an alias of Crash: in this model a graceful shutdown and a

@@ -50,7 +50,7 @@ type poolJob struct {
 //
 // The pool also carries the crash model. Close stops it as a crash:
 // no step starts once it is called, and queued steps are dropped. The
-// step budget (CrashAfterSteps on a Runner) is enforced by the workers
+// step budget (CrashAfterSteps) is enforced by the workers
 // with an atomic ticket, so "handle exactly n more messages, then stop"
 // holds even across concurrent shards.
 type StepPool struct {
@@ -153,6 +153,14 @@ func (p *StepPool) Do(i int, fn func(Automaton)) bool {
 		// so waiting on done could hang — report failure.
 		return false
 	}
+}
+
+// CrashAfterSteps schedules a crash after n further automaton steps,
+// counted across all shards: the process handles exactly n more
+// messages and then stops — used to script failures "in the middle" of
+// an operation.
+func (p *StepPool) CrashAfterSteps(n int) {
+	p.crashAfter.Store(p.steps.Load() + int64(n))
 }
 
 // NumShards reports the pool's shard count.

@@ -53,6 +53,13 @@ func (p *DirProvider) Open(name string) (Backend, error) {
 	return NewFile(filepath.Join(p.root, name), p.factory, p.opts...)
 }
 
+// ProviderFunc adapts a function to Provider; a server with its own
+// data directory opens that directory whatever the name.
+type ProviderFunc func(name string) (Backend, error)
+
+// Open implements Provider.
+func (f ProviderFunc) Open(name string) (Backend, error) { return f(name) }
+
 // FaultProvider wraps another provider so every opened backend is
 // fault-injectable, retaining the wrappers by name for the chaos
 // engine to arm on schedule.

@@ -86,6 +86,32 @@ func Listen(id types.ProcID, addr string, auto node.Automaton, opts ...ServerOpt
 	return ListenSharded(id, addr, []node.Automaton{auto}, nil, opts...)
 }
 
+// Binding serves one process over TCP across restarts, the TCP driver
+// of storage.Server (node.NetDriver is the in-process one). The first
+// Start listens on Addr ("127.0.0.1:0" picks a free port) and records
+// the bound address; every later Start rebinds that address, retrying
+// for up to a second while the kernel releases the port.
+type Binding struct {
+	Addr  string
+	Opts  []ServerOption
+	bound bool
+}
+
+// Start serves the shards on the binding's address as process id and
+// returns the server's pool plus a stop that closes the server.
+func (b *Binding) Start(id types.ProcID, shards []node.Automaton, route func(wire.Message) int) (*node.StepPool, func(), error) {
+	srv, err := ListenSharded(id, b.Addr, shards, route, b.Opts...)
+	for attempt := 0; err != nil && b.bound && attempt < 100; attempt++ {
+		time.Sleep(10 * time.Millisecond)
+		srv, err = ListenSharded(id, b.Addr, shards, route, b.Opts...)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	b.Addr, b.bound = srv.Addr(), true
+	return srv.pool, func() { _ = srv.Close() }, nil
+}
+
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 

@@ -24,6 +24,7 @@ import (
 	"luckystore/internal/core"
 	"luckystore/internal/node"
 	"luckystore/internal/simnet"
+	"luckystore/internal/storage"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -502,7 +503,7 @@ type Cluster struct {
 	cfg     Config
 	net     transport.Network
 	sim     *simnet.Network
-	runners []*node.Runner
+	servers storage.Servers
 	writer  *Writer
 	readers []*Reader
 }
@@ -519,15 +520,16 @@ func NewCluster(cfg Config, simOpts ...simnet.Option) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, net: sim, sim: sim}
-	for i := 0; i < cfg.S(); i++ {
-		ep, err := sim.Endpoint(types.ServerID(i))
-		if err != nil {
-			c.Close()
-			return nil, err
+	c.servers, err = storage.StartServers(cfg.S(), func(i int) storage.ServerConfig {
+		return storage.ServerConfig{
+			ID:     types.ServerID(i),
+			New:    func() node.Automaton { return NewServer() },
+			Driver: node.NetDriver{Net: sim},
 		}
-		r := node.NewRunner(ep, NewServer())
-		c.runners = append(c.runners, r)
-		r.Start()
+	})
+	if err != nil {
+		c.Close()
+		return nil, err
 	}
 	wep, err := sim.Endpoint(types.WriterID())
 	if err != nil {
@@ -559,14 +561,12 @@ func (c *Cluster) Reader(i int) *Reader { return c.readers[i] }
 func (c *Cluster) Sim() *simnet.Network { return c.sim }
 
 // CrashServer crash-stops server i.
-func (c *Cluster) CrashServer(i int) { c.runners[i].Crash() }
+func (c *Cluster) CrashServer(i int) { c.servers[i].Crash() }
 
-// Close stops all runners and the network.
+// Close stops all servers and the network.
 func (c *Cluster) Close() {
 	if c.net != nil {
 		_ = c.net.Close()
 	}
-	for _, r := range c.runners {
-		r.Stop()
-	}
+	_ = c.servers.Close()
 }

@@ -26,31 +26,22 @@ const WireFormatVersion = wire.FormatVersion
 
 // TCPServer is one storage server listening on a real TCP socket.
 type TCPServer struct {
-	inner *tcpnet.Server
-	back  storage.Backend      // non-nil when disk-backed (WithTCPDataDir)
-	srv   *keyed.ShardedServer // keyed state, nil for the single-register ListenTCP
-	reg   *core.Server         // the single register, nil for ListenTCPKV
+	life *storage.Server
+	bind *tcpnet.Binding
+	id   ProcID
 }
 
 // Addr returns the listening address (host:port).
-func (s *TCPServer) Addr() string { return s.inner.Addr() }
+func (s *TCPServer) Addr() string { return s.bind.Addr }
 
 // ID returns the server's process id ("s0", "s1", …).
-func (s *TCPServer) ID() ProcID { return s.inner.ID() }
+func (s *TCPServer) ID() ProcID { return s.id }
 
 // Close stops the server; to the rest of the cluster this is a crash.
 // A disk-backed server closes its WAL after the listener — stepping
 // has stopped by then, so the final flush+fsync captures every
 // acknowledged operation.
-func (s *TCPServer) Close() error {
-	err := s.inner.Close()
-	if s.back != nil {
-		if cerr := s.back.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+func (s *TCPServer) Close() error { return s.life.Close() }
 
 // WriteStamps writes the server's live register stamps, one line per
 // instantiated register: "key seq writer" (the single-register
@@ -59,16 +50,20 @@ func (s *TCPServer) Close() error {
 // goroutine (node.StepPool.Do), the only goroutine allowed to touch
 // its unlocked register map. This backs the admin API's /debug/stamps.
 func (s *TCPServer) WriteStamps(w io.Writer) error {
-	if s.srv == nil {
-		_, wv, _ := s.reg.State() // the register locks internally
+	srv, ok := s.life.Automaton().(*keyed.ShardedServer)
+	if !ok {
+		_, wv, _ := s.life.Automaton().(*core.Server).State() // the register locks internally
 		_, err := fmt.Fprintf(w, "- %d %d\n", wv.TS, wv.W)
 		return err
 	}
-	pool := s.inner.Pool()
+	pool := s.life.Pool()
+	if pool == nil {
+		return fmt.Errorf("luckystore stamps: server closed")
+	}
 	var werr error
-	for i := 0; i < s.srv.NumShards(); i++ {
+	for i := 0; i < srv.NumShards(); i++ {
 		ok := pool.Do(i, func(node.Automaton) {
-			s.srv.RangeShard(i, func(key string, reg node.Automaton) {
+			srv.RangeShard(i, func(key string, reg node.Automaton) {
 				if werr != nil {
 					return
 				}
@@ -96,38 +91,16 @@ func (s *TCPServer) WriteStamps(w io.Writer) error {
 // recovers its register from the directory's WAL before listening and
 // writes through it before acknowledging.
 func ListenTCP(i int, addr string, opts ...TCPOption) (*TCPServer, error) {
-	var o tcpOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	a := core.NewServer()
+	o := newTCPOptions(opts)
+	var sm *core.ServerMetrics
 	if o.metrics != nil {
-		a.SetMetrics(core.NewServerMetrics(o.metrics))
+		sm = core.NewServerMetrics(o.metrics)
 	}
-	run := node.Automaton(a)
-	back, err := o.openBackend(func() storage.Automaton { return core.NewServer() })
-	if err != nil {
-		return nil, fmt.Errorf("luckystore server %d storage: %w", i, err)
-	}
-	if back != nil {
-		if _, err := storage.Recover(back, a); err != nil {
-			_ = back.Close()
-			return nil, fmt.Errorf("luckystore server %d recovery: %w", i, err)
-		}
-		d := storage.NewDurable(a, back, types.ServerID(i))
-		if o.metrics != nil {
-			d.SetMetrics(storage.NewDurableMetrics(o.metrics))
-		}
-		run = d
-	}
-	inner, err := tcpnet.Listen(types.ServerID(i), addr, run, o.serverOptions()...)
-	if err != nil {
-		if back != nil {
-			_ = back.Close()
-		}
-		return nil, err
-	}
-	return &TCPServer{inner: inner, back: back, reg: a}, nil
+	return o.listen(i, addr, func() node.Automaton {
+		a := core.NewServer()
+		a.SetMetrics(sm)
+		return a
+	}, func() storage.Automaton { return core.NewServer() })
 }
 
 // ServerAddrs builds the address map clients need from an ordered list
@@ -182,28 +155,37 @@ type tcpOptions struct {
 	metrics *metrics.Registry
 }
 
-// openBackend opens the durable file backend when WithTCPDataDir was
-// given (instrumented when metrics are on), nil otherwise.
-func (o *tcpOptions) openBackend(factory func() storage.Automaton) (storage.Backend, error) {
-	if o.dataDir == "" {
-		return nil, nil
+func newTCPOptions(opts []TCPOption) *tcpOptions {
+	o := &tcpOptions{}
+	for _, opt := range opts {
+		opt(o)
 	}
-	back, err := storage.NewFile(o.dataDir, factory)
-	if err != nil {
-		return nil, err
-	}
-	if o.metrics != nil {
-		back.SetMetrics(storage.NewFileMetrics(o.metrics))
-	}
-	return back, nil
+	return o
 }
 
-// serverOptions translates the TCP options into tcpnet listener options.
-func (o *tcpOptions) serverOptions() []tcpnet.ServerOption {
-	if o.metrics == nil {
-		return nil
+// listen starts server i on addr as a storage.Server running newAuto's
+// automaton, durable in the WithTCPDataDir directory (whose compaction
+// rebuilds state with newStorage) when one is given.
+func (o *tcpOptions) listen(i int, addr string, newAuto func() node.Automaton, newStorage func() storage.Automaton) (*TCPServer, error) {
+	bind := &tcpnet.Binding{Addr: addr}
+	if o.metrics != nil {
+		bind.Opts = []tcpnet.ServerOption{tcpnet.WithServerMetrics(tcpnet.NewServerMetrics(o.metrics))}
 	}
-	return []tcpnet.ServerOption{tcpnet.WithServerMetrics(tcpnet.NewServerMetrics(o.metrics))}
+	sc := storage.ServerConfig{ID: types.ServerID(i), New: newAuto, Driver: bind, Metrics: o.metrics}
+	if o.dataDir != "" {
+		sc.Provider = storage.ProviderFunc(func(string) (storage.Backend, error) {
+			return storage.NewFile(o.dataDir, newStorage)
+		})
+	}
+	life, err := storage.NewServer(sc)
+	if err != nil {
+		return nil, fmt.Errorf("luckystore: %w", err)
+	}
+	if err := life.Start(); err != nil {
+		_ = life.Close()
+		return nil, err
+	}
+	return &TCPServer{life: life, bind: bind, id: sc.ID}, nil
 }
 
 // WithTCPMetrics threads live instrumentation through the server into
@@ -243,63 +225,34 @@ func WithTCPDataDir(dir string) TCPOption {
 // including keys from different connections — never serialize on one
 // automaton pump; see tcpnet.ListenSharded for the pipeline.
 func ListenTCPKV(i int, addr string, opts ...TCPOption) (*TCPServer, error) {
-	var o tcpOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newTCPOptions(opts)
 	var sm *core.ServerMetrics
 	if o.metrics != nil {
 		sm = core.NewServerMetrics(o.metrics)
 	}
-	srv := kv.NewShardedServerAutomatonInstrumented(o.shards, sm)
-	shards := srv.Shards()
-	back, err := o.openBackend(kv.NewStorageAutomaton)
-	if err != nil {
-		return nil, fmt.Errorf("luckystore kv server %d storage: %w", i, err)
+	srv, err := o.listen(i, addr, func() node.Automaton {
+		return kv.NewShardedServerAutomatonInstrumented(o.shards, sm)
+	}, kv.NewStorageAutomaton)
+	if err != nil || o.metrics == nil {
+		return srv, err
 	}
-	if back != nil {
-		// Replay routes through the sharded server's single-goroutine
-		// Step before any shard worker exists, then every shard writes
-		// through the one backend (group-committed fsyncs).
-		if _, err := storage.Recover(back, srv); err != nil {
-			_ = back.Close()
-			return nil, fmt.Errorf("luckystore kv server %d recovery: %w", i, err)
-		}
-		var dm *storage.DurableMetrics
-		if o.metrics != nil {
-			dm = storage.NewDurableMetrics(o.metrics)
-		}
-		for j, sh := range shards {
-			d := storage.NewDurable(sh, back, types.ServerID(i))
-			d.SetMetrics(dm)
-			shards[j] = d
-		}
+	// Per-shard queue depth: the live backpressure signal, one gauge per
+	// shard worker (DESIGN.md §13).
+	pool := srv.life.Pool()
+	for sh := 0; sh < pool.NumShards(); sh++ {
+		idx := sh
+		o.metrics.GaugeFunc("lucky_tcp_shard_queue_depth",
+			"Step jobs queued per shard worker, not yet stepped.",
+			func() int64 { return int64(pool.QueueLen(idx)) },
+			metrics.L("shard", strconv.Itoa(idx)))
 	}
-	inner, err := tcpnet.ListenSharded(types.ServerID(i), addr, shards, srv.Route(), o.serverOptions()...)
-	if err != nil {
-		if back != nil {
-			_ = back.Close()
-		}
-		return nil, err
-	}
-	if o.metrics != nil {
-		// Per-shard queue depth: the live backpressure signal, one gauge
-		// per shard worker (DESIGN.md §13).
-		pool := inner.Pool()
-		for sh := 0; sh < pool.NumShards(); sh++ {
-			idx := sh
-			o.metrics.GaugeFunc("lucky_tcp_shard_queue_depth",
-				"Step jobs queued per shard worker, not yet stepped.",
-				func() int64 { return int64(pool.QueueLen(idx)) },
-				metrics.L("shard", strconv.Itoa(idx)))
-		}
-	}
-	return &TCPServer{inner: inner, back: back, srv: srv}, nil
+	return srv, nil
 }
 
 // OpenKVTCP connects the client side of a key-value store to a TCP
 // cluster of ListenTCPKV servers: one writer connection plus
-// cfg.NumReaders reader connections. The returned store owns the
+// cfg.NumReaders reader connections, dialed under the store's own
+// writer and reader ids (kv.OpenDialed). The returned store owns the
 // connections and closes them on Close.
 // A store opened with WithKVMetrics additionally instruments the TCP
 // endpoints it dials (frame counters and redials, by role).
@@ -310,35 +263,11 @@ func OpenKVTCP(cfg Config, servers map[ProcID]string, opts ...KVOption) (*KVStor
 	if len(servers) != cfg.S() {
 		return nil, fmt.Errorf("luckystore: %d server addresses for S=%d", len(servers), cfg.S())
 	}
-	var wcm, rcm *tcpnet.ClientMetrics
-	if reg := kv.MetricsRegistry(opts...); reg != nil {
-		wcm = tcpnet.NewClientMetrics(reg, "writer")
-		rcm = tcpnet.NewClientMetrics(reg, "reader")
-	}
-	writerEP, err := tcpnet.Dial(types.WriterID(), servers, clientOptions(wcm)...)
-	if err != nil {
-		return nil, err
-	}
-	readerEPs := make([]transport.Endpoint, cfg.NumReaders)
-	for i := range readerEPs {
-		ep, err := tcpnet.Dial(types.ReaderID(i), servers, clientOptions(rcm)...)
-		if err != nil {
-			_ = writerEP.Close()
-			for j := 0; j < i; j++ {
-				_ = readerEPs[j].Close()
-			}
-			return nil, err
+	return kv.OpenDialed(cfg, func(id ProcID, role string, reg *metrics.Registry) (transport.Endpoint, error) {
+		var copts []tcpnet.ClientOption
+		if reg != nil {
+			copts = append(copts, tcpnet.WithClientMetrics(tcpnet.NewClientMetrics(reg, role)))
 		}
-		readerEPs[i] = ep
-	}
-	return kv.OpenWithEndpoints(cfg, writerEP, readerEPs, opts...)
-}
-
-// clientOptions translates an optional client-metrics handle into
-// tcpnet dial options.
-func clientOptions(m *tcpnet.ClientMetrics) []tcpnet.ClientOption {
-	if m == nil {
-		return nil
-	}
-	return []tcpnet.ClientOption{tcpnet.WithClientMetrics(m)}
+		return tcpnet.Dial(id, servers, copts...)
+	}, opts...)
 }
